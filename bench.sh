@@ -14,11 +14,9 @@
 # length, with and without fuzzy checkpointing), and BENCH_overload.json for
 # the overload/chaos benchmark (open-loop saturation with admission control
 # on vs off, plus transient- and permanent-fault chaos arms on an injected
-# log device), and BENCH_commit.json for the commit-pipeline benchmark
-# (latched vs consolidated WAL appends, with and without early lock release,
-# gated on invariants, crash-recovery equivalence, and shorter lock holds).
+# log device).
 #
-# Usage: ./bench.sh [tm1.json] [tpcc.json] [skew.json] [durability.json] [htap.json] [crash.json] [overload.json] [commit.json]
+# Usage: ./bench.sh [tm1.json] [tpcc.json] [skew.json] [durability.json] [htap.json] [crash.json] [overload.json]
 #   BENCHTIME=2s ./bench.sh        # longer measurement interval
 #   SKEW_FLAGS="-skew-windows 6 -skew-window 150ms" ./bench.sh   # faster skew run
 #   HTAP_FLAGS="-htap-tps-gate=false" ./bench.sh                 # noisy-host htap run
@@ -33,7 +31,6 @@ out_durability=${4:-BENCH_durability.json}
 out_htap=${5:-BENCH_htap.json}
 out_crash=${6:-BENCH_crash.json}
 out_overload=${7:-BENCH_overload.json}
-out_commit=${8:-BENCH_commit.json}
 benchtime=${BENCHTIME:-1s}
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
@@ -115,12 +112,3 @@ echo "wrote $out_crash"
 go run ./cmd/dorabench -fig overload -overload-json "$out_overload" \
   ${OVERLOAD_FLAGS:-}
 echo "wrote $out_overload"
-
-# Commit-pipeline benchmark: latched vs consolidated WAL appends, with and
-# without early lock release, on a file-backed SyncOnFlush log. Gates on
-# invariants, crash-recovery equivalence (every arm's log reopens and passes
-# the checker), and strictly shorter lock holds under consolidated+ELR — not
-# on throughput.
-# shellcheck disable=SC2086
-go run ./cmd/dorabench -fig commit -commit-json "$out_commit" ${COMMIT_FLAGS:-}
-echo "wrote $out_commit"

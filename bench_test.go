@@ -431,60 +431,41 @@ func BenchmarkExecutorQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkWALAppendParallel quantifies the consolidated-append redesign:
-// ns/append with the old single-latch path (every appender takes the buffer
-// mutex, encodes inside it) versus consolidation groups (one CAS to join, one
-// latch acquisition per group, encode outside). The gap widens with the
-// appender count — at 8+ goroutines the latched arm serializes on the mutex
-// while the consolidated arm amortizes it across the whole group.
+// BenchmarkWALAppendParallel measures ns/append through the single-latch
+// append path (every appender takes the buffer mutex and encodes inside it)
+// as the appender count grows.
 func BenchmarkWALAppendParallel(b *testing.B) {
 	payload := []byte("0123456789abcdef0123456789abcdef0123456789abcdef") // ~TPC-C update image
-	for _, arm := range []struct {
-		name    string
-		latched bool
-	}{
-		{"Latched", true},
-		{"Consolidated", false},
-	} {
-		for _, procs := range []int{1, 4, 8, 16} {
-			b.Run(fmt.Sprintf("%s/goroutines=%d", arm.name, procs), func(b *testing.B) {
-				m, err := wal.Open(wal.Options{LatchedAppends: arm.latched})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer m.Close()
-				// Manual fan-out instead of RunParallel: the goroutine count is
-				// the variable under test, so it must be exact, not a multiple
-				// of GOMAXPROCS.
-				var txn atomic.Uint64
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				per := b.N / procs
-				if per == 0 {
-					per = 1
-				}
-				for g := 0; g < procs; g++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						r := &wal.Record{Type: wal.RecUpdate, After: payload}
-						for i := 0; i < per; i++ {
-							r.Txn = wal.TxnID(txn.Add(1))
-							if _, err := m.Append(r); err != nil {
-								b.Error(err)
-								return
-							}
+	for _, procs := range []int{1, 4, 8, 16} {
+		b.Run(fmt.Sprintf("goroutines=%d", procs), func(b *testing.B) {
+			m := wal.NewManager()
+			defer m.Close()
+			// Manual fan-out instead of RunParallel: the goroutine count is
+			// the variable under test, so it must be exact, not a multiple of
+			// GOMAXPROCS.
+			var txn atomic.Uint64
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			per := b.N / procs
+			if per == 0 {
+				per = 1
+			}
+			for g := 0; g < procs; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					r := &wal.Record{Type: wal.RecUpdate, After: payload}
+					for i := 0; i < per; i++ {
+						r.Txn = wal.TxnID(txn.Add(1))
+						if _, err := m.Append(r); err != nil {
+							b.Error(err)
+							return
 						}
-					}()
-				}
-				wg.Wait()
-				b.StopTimer()
-				st := m.FlushStats()
-				if st.Groups > 0 {
-					b.ReportMetric(float64(st.Appends)/float64(st.Groups), "appends/group")
-				}
-			})
-		}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }
 

@@ -71,13 +71,11 @@ type options struct {
 	overloadDuration time.Duration
 	overloadInflight int
 	overloadJSON     string
-
-	commitJSON string
 }
 
 func main() {
 	var opt options
-	flag.StringVar(&opt.fig, "fig", "all", "figure to regenerate: 1a,1b,1c,2,3,4,5,6,7,8,10,11,secondary,skew,durability,crash,commit,htap,overload,check or 'all'")
+	flag.StringVar(&opt.fig, "fig", "all", "figure to regenerate: 1a,1b,1c,2,3,4,5,6,7,8,10,11,secondary,skew,durability,crash,htap,overload,check or 'all'")
 	flag.IntVar(&opt.contexts, "contexts", 64, "simulated hardware contexts")
 	flag.DurationVar(&opt.quantum, "quantum", 10*time.Millisecond, "simulated OS scheduling quantum")
 	flag.DurationVar(&opt.simDuration, "sim-duration", 300*time.Millisecond, "simulated time per load point")
@@ -110,7 +108,6 @@ func main() {
 	flag.DurationVar(&opt.overloadDuration, "overload-duration", 1500*time.Millisecond, "duration of one overload/chaos measurement window")
 	flag.IntVar(&opt.overloadInflight, "overload-inflight", 32, "admission-control credit pool for the overload benchmark's on arm")
 	flag.StringVar(&opt.overloadJSON, "overload-json", "", "write the overload/chaos-benchmark summary to this JSON file")
-	flag.StringVar(&opt.commitJSON, "commit-json", "", "write the commit-pipeline benchmark summary to this JSON file")
 	flag.Parse()
 
 	if opt.crashChild {
@@ -126,10 +123,10 @@ func main() {
 		"4": fig4, "5": fig5, "6": fig6, "7": fig7, "8": fig8,
 		"10": fig10, "11": fig11, "secondary": figSecondary, "check": figCheck,
 		"skew": figSkew, "durability": figDurability, "crash": figCrash,
-		"htap": figHTAP, "overload": figOverload, "commit": figCommit,
+		"htap": figHTAP, "overload": figOverload,
 	}
 	if opt.fig == "all" {
-		order := []string{"1a", "1b", "2", "3", "4", "5", "6", "7", "8", "10", "11", "secondary", "skew", "durability", "commit", "htap", "overload", "check"}
+		order := []string{"1a", "1b", "2", "3", "4", "5", "6", "7", "8", "10", "11", "secondary", "skew", "durability", "htap", "overload", "check"}
 		for _, f := range order {
 			if err := figs[f](opt); err != nil {
 				fmt.Fprintf(os.Stderr, "figure %s: %v\n", f, err)

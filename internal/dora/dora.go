@@ -111,12 +111,6 @@ type Config struct {
 	// transaction. Zero means no default deadline (TxnTimeout still bounds
 	// the total wait).
 	TxnDeadline time.Duration
-	// DisableEarlyLockRelease holds a committing transaction's local locks
-	// until its commit record is durable, instead of releasing them as soon
-	// as the record has an LSN (the default; see Transaction.finalize for the
-	// in-order-durability safety argument). It exists for the commit-pipeline
-	// A/B comparison; production use keeps it false.
-	DisableEarlyLockRelease bool
 }
 
 // DefaultTxnTimeout is the default transaction timeout.

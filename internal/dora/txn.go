@@ -512,9 +512,9 @@ func (t *Transaction) registerParticipant(e *Executor) bool {
 // finalize commits the transaction: it hands the commit record to the
 // engine's group-commit pipeline and returns immediately, so the executor
 // that zeroed the terminal RVP keeps processing other transactions' actions
-// while the log flush is in flight. Once the commit record is durable, the
-// completion messages that release the local locks go out asynchronously
-// (steps 9-12 of Appendix A.1: one-off log flush, then async lock release).
+// while the log flush is in flight (steps 9-12 of Appendix A.1: one-off log
+// flush, async lock release). The lock-releasing completion messages go out
+// early, before the flush; the client is released once it is durable.
 func (t *Transaction) finalize() {
 	if !t.state.CompareAndSwap(flowRunning, flowCommitted) {
 		return
@@ -542,27 +542,19 @@ func (t *Transaction) finalize() {
 		clear(shared)
 		sharedPool.Put(shared)
 	}
-	// Early lock release (on unless DisableEarlyLockRelease): the completion
-	// messages that free the local locks go out as soon as the commit record
-	// has its LSN — before it is durable. Safe because the flusher makes LSNs
-	// durable strictly in order: a dependent that sees this transaction's
-	// effects commits at a higher LSN, so its client ack (still gated on
-	// durability below) cannot precede this one's record reaching the device.
-	// The state already left flowRunning (CAS above), so the broadcast cannot
-	// race a completeAbort — only one of the two paths ever runs.
-	elr := !t.sys.cfg.DisableEarlyLockRelease
-	released := false
-	var early func()
-	if elr {
-		early = func() {
-			t.broadcastCompletions()
-			if col := t.sys.collector(); col != nil {
-				col.ObserveLockHold(time.Since(t.start))
-			}
-			released = true
+	// Early lock release: the completion messages that free the local locks
+	// go out as soon as the commit record has its LSN and its completion is
+	// registered — before it is durable. A dependent that sees this
+	// transaction's effects commits at a higher LSN, so its completion (commit
+	// epoch) and client ack both follow this one's (engine.CommitAsync). The
+	// state already left flowRunning (CAS above), so the broadcast cannot race
+	// a completeAbort — only one of the two paths ever runs.
+	t.sys.eng.CommitAsync(t.txn, func() {
+		t.broadcastCompletions()
+		if col := t.sys.collector(); col != nil {
+			col.ObserveLockHold(time.Since(t.start))
 		}
-	}
-	t.sys.eng.CommitAsyncEarly(t.txn, early, func(err error) {
+	}, func(err error) {
 		if err != nil {
 			t.errMu.Lock()
 			t.err = err
@@ -571,16 +563,6 @@ func (t *Transaction) finalize() {
 			col.TxnCommitted(time.Since(t.start))
 		}
 		t.releaseAdmission()
-		if !released {
-			// ELR off, or the commit record was refused before an LSN was
-			// assigned: locks were held to the end.
-			t.broadcastCompletions()
-			if err == nil {
-				if col := t.sys.collector(); col != nil {
-					col.ObserveLockHold(time.Since(t.start))
-				}
-			}
-		}
 		close(t.done)
 	})
 }

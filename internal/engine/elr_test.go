@@ -36,7 +36,7 @@ func TestELRCrashRecoveryAbortsUnflushedCommitter(t *testing.T) {
 	aDone := make(chan error, 1)
 	bDone := make(chan error, 1)
 	dependentSawWrite := false
-	e.CommitAsyncEarly(a, func() {
+	e.CommitAsync(a, func() {
 		// The ELR window: A's commit record has an LSN but is not durable.
 		// A dependent starts here, reads A's write, and commits on top.
 		b := e.Begin()
@@ -48,7 +48,7 @@ func TestELRCrashRecoveryAbortsUnflushedCommitter(t *testing.T) {
 			bDone <- ierr
 			return
 		}
-		e.CommitAsync(b, func(err error) { bDone <- err })
+		e.CommitAsync(b, nil, func(err error) { bDone <- err })
 	}, func(err error) { aDone <- err })
 
 	aErr := <-aDone

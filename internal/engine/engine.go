@@ -88,11 +88,6 @@ type Config struct {
 	// by the work done since the last checkpoint. Zero disables the loop;
 	// Checkpoint can still be called manually.
 	CheckpointEvery time.Duration
-
-	// LatchedLogAppends selects the WAL's pre-consolidation append path
-	// (encode under the buffer mutex) as the A/B baseline for commit-pipeline
-	// experiments. Off by default: appends consolidate.
-	LatchedLogAppends bool
 }
 
 // DefaultBufferPoolFrames is the default pool capacity (64 MiB of 8 KiB
@@ -166,7 +161,7 @@ type Engine struct {
 // a background WAL flusher goroutine; long-lived processes that create
 // engines repeatedly should call Close when done with each one.
 func New(cfg Config) *Engine {
-	log, err := wal.Open(wal.Options{Sync: cfg.LogSync, SyncEvery: cfg.LogSyncEvery, LatchedAppends: cfg.LatchedLogAppends})
+	log, err := wal.Open(wal.Options{Sync: cfg.LogSync, SyncEvery: cfg.LogSyncEvery})
 	if err != nil {
 		// The in-memory device cannot fail to open.
 		panic(err)
@@ -181,10 +176,9 @@ func New(cfg Config) *Engine {
 // and real storage. The engine owns the device and closes it with Close.
 func NewWithDevice(cfg Config, dev wal.Device) (*Engine, error) {
 	log, err := wal.Open(wal.Options{
-		Device:         dev,
-		Sync:           cfg.LogSync,
-		SyncEvery:      cfg.LogSyncEvery,
-		LatchedAppends: cfg.LatchedLogAppends,
+		Device:    dev,
+		Sync:      cfg.LogSync,
+		SyncEvery: cfg.LogSyncEvery,
 	})
 	if err != nil {
 		return nil, err

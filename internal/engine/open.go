@@ -86,11 +86,10 @@ func decodeTableDef(data []byte) (TableDef, error) {
 func Open(dir string, cfg Config) (*Engine, wal.RecoveryStats, error) {
 	var stats wal.RecoveryStats
 	log, err := wal.Open(wal.Options{
-		Dir:            dir,
-		Sync:           cfg.LogSync,
-		SyncEvery:      cfg.LogSyncEvery,
-		SegmentSize:    cfg.LogSegmentSize,
-		LatchedAppends: cfg.LatchedLogAppends,
+		Dir:         dir,
+		Sync:        cfg.LogSync,
+		SyncEvery:   cfg.LogSyncEvery,
+		SegmentSize: cfg.LogSegmentSize,
 	})
 	if err != nil {
 		return nil, stats, err

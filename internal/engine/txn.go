@@ -58,9 +58,6 @@ type Txn struct {
 	// walks it backwards. It mirrors the transaction's log chain without
 	// re-reading the log device.
 	undo []*wal.Record
-	// onCommit holds deferred physical cleanups that run only if the
-	// transaction commits.
-	onCommit []func()
 	// pending tracks the version-chain nodes this transaction installed, for
 	// commit-epoch stamping and rollback popping (mvcc.go).
 	pending []pendingVersion
@@ -155,13 +152,6 @@ func (t *Txn) recordChange(r *wal.Record) {
 	t.mu.Unlock()
 }
 
-// deferOnCommit registers a cleanup to run if the transaction commits.
-func (t *Txn) deferOnCommit(fn func()) {
-	t.mu.Lock()
-	t.onCommit = append(t.onCommit, fn)
-	t.mu.Unlock()
-}
-
 // addPending remembers a version-chain node the transaction installed.
 func (t *Txn) addPending(tbl *Table, rid storage.RID, v *version) {
 	t.mu.Lock()
@@ -195,94 +185,54 @@ func (t *Txn) ensureActive() error {
 	return nil
 }
 
-// Commit makes the transaction durable: it forces the log up to the commit
-// record (riding the group-commit flusher's next device write), applies
-// deferred index cleanups, and releases the transaction's centralized locks.
-// The caller blocks anyway, so it waits on the flush inline rather than
-// paying CommitAsync's relay goroutine.
+// Commit makes the transaction durable and blocks until it is: it is
+// CommitAsync without a release hook, waiting for the completion. It must not
+// be called from a log completion callback (see wal.Manager).
 func (e *Engine) Commit(t *Txn) error {
-	if err := t.ensureActive(); err != nil {
-		return err
-	}
-	commitLSN, err := e.appendMarker(t, wal.RecCommit, 0)
-	if err != nil {
-		e.noteLogError(err)
-		// A read-only transaction has nothing that needs durability; let it
-		// commit on a degraded engine so snapshot-free readers keep working.
-		if errors.Is(err, wal.ErrDeviceFailed) && t.readOnly() {
-			e.finishCommit(t)
-			return nil
-		}
-		return fmt.Errorf("engine: logging commit of txn %d: %w", t.id, err)
-	}
-	if wait := e.log.FlushAsync(commitLSN); wait != nil {
-		<-wait
-	}
-	// A failed device wakes waiters without making them durable; never
-	// acknowledge a commit the log cannot vouch for. Durability is judged by
-	// this commit's own LSN against the watermark (which only advances on
-	// successful write+sync), not by the global error latch — a later
-	// flush's failure must not un-acknowledge an earlier durable commit. The
-	// transaction stays active so the caller can still roll it back in
-	// memory.
-	if err := e.commitDurable(commitLSN); err != nil {
-		e.noteLogError(err)
-		return fmt.Errorf("engine: commit of txn %d not durable: %w", t.id, err)
-	}
-	e.finishCommit(t)
-	return nil
+	done := make(chan error, 1)
+	e.CommitAsync(t, nil, func(err error) { done <- err })
+	return <-done
 }
 
-// commitDurable reports whether the log can vouch for the commit record at
-// the given LSN after its flush wakeup.
-func (e *Engine) commitDurable(commitLSN wal.LSN) error {
-	if e.log.FlushedLSN() >= commitLSN {
-		return nil
-	}
-	if err := e.log.Err(); err != nil {
-		return err
-	}
-	return wal.ErrClosed
-}
-
-// CommitAsync initiates a commit without blocking the caller on the log
-// flush: it appends the commit record and registers with the group-commit
-// flusher; once the record is durable, post-commit processing (index
-// cleanups, centralized lock release, the END record) runs and done(err) is
-// invoked, usually on a background goroutine. This is what lets a DORA
-// executor dispatch a commit and immediately continue with other
+// CommitAsync is the engine's single commit path. It appends the commit
+// record, registers the completion with the log's flusher, and then calls
+// release (when non-nil) without waiting for durability; done(err) runs
+// later, exactly once. On success it runs on the flusher once the record is
+// durable, after finishCommit (version stamping, centralized lock release,
+// the END record). Its callers therefore never block on the log, which is
+// what lets a DORA executor dispatch a commit and go on with other
 // transactions' actions.
-func (e *Engine) CommitAsync(t *Txn, done func(error)) {
-	e.CommitAsyncEarly(t, nil, done)
-}
-
-// CommitAsyncEarly is CommitAsync with an early-release hook for DORA's
-// early lock release: early() runs synchronously as soon as the commit record
-// has an assigned LSN — before the record is durable — on every path that
-// will eventually call done(nil). At that point the transaction's serial
-// position is fixed: the flusher makes LSNs durable strictly in order, so any
-// transaction that later observes this one's effects appends its own commit
-// record at a higher LSN and cannot become durable (or acknowledge) first.
-// Releasing the transaction's local locks in early() is therefore safe — a
-// dependent can run, commit, and even reach its own early() while this
-// transaction awaits the flush, but its durability ack necessarily trails
-// ours. early() never runs on a path that reports an error: a commit refused
-// at the append keeps its locks for the caller's rollback.
-func (e *Engine) CommitAsyncEarly(t *Txn, early func(), done func(error)) {
+//
+// release is DORA's early lock release. It runs exactly once, on the calling
+// goroutine, on every path. On success it runs after the completion is
+// registered. A dependent that release unblocks appends its commit record,
+// and registers its completion, only after that, so it gets a higher LSN.
+// Completions run in LSN order (wal.Manager), so the dependent's
+// finishCommit, and with it its commit epoch, always follows ours. Its
+// durability ack trails ours too, because LSNs become durable in order.
+//
+// A commit that cannot be vouched for is not acknowledged: done gets an
+// error, and the transaction stays active so the caller can roll it back.
+// This covers an append the log refuses, and a record that a failed device
+// never made durable. Durability is judged by this commit's own LSN against
+// the durable watermark, not by the global error latch: a later flush's
+// failure must not un-acknowledge an earlier durable commit.
+func (e *Engine) CommitAsync(t *Txn, release func(), done func(error)) {
+	if release == nil {
+		release = func() {}
+	}
 	if err := t.ensureActive(); err != nil {
+		release()
 		done(err)
 		return
 	}
 	commitLSN, err := e.appendMarker(t, wal.RecCommit, 0)
 	if err != nil {
 		e.noteLogError(err)
+		release()
+		// A read-only transaction has nothing that needs durability; let it
+		// commit on a degraded engine so snapshot-free readers keep working.
 		if errors.Is(err, wal.ErrDeviceFailed) && t.readOnly() {
-			// A read-only commit on a degraded engine succeeds without a
-			// durable record; there is nothing to wait for, so the early
-			// release collapses into the completion path.
-			if early != nil {
-				early()
-			}
 			e.finishCommit(t)
 			done(nil)
 			return
@@ -290,35 +240,31 @@ func (e *Engine) CommitAsyncEarly(t *Txn, early func(), done func(error)) {
 		done(fmt.Errorf("engine: logging commit of txn %d: %w", t.id, err))
 		return
 	}
-	if early != nil {
-		early()
-	}
-	wait := e.log.FlushAsync(commitLSN)
-	if wait == nil {
-		e.finishCommit(t)
-		done(nil)
-		return
-	}
-	go func() {
-		<-wait
-		if err := e.commitDurable(commitLSN); err != nil {
+	e.log.OnDurable(commitLSN, func() {
+		if e.log.FlushedLSN() < commitLSN {
+			err := e.log.Err()
+			if err == nil {
+				err = wal.ErrClosed
+			}
 			e.noteLogError(err)
 			done(fmt.Errorf("engine: commit of txn %d not durable: %w", t.id, err))
 			return
 		}
 		e.finishCommit(t)
 		done(nil)
-	}()
+	})
+	release()
 }
 
 // finishCommit runs post-commit processing once the commit record is durable.
+// Except for the degraded read-only path, it runs on the log's flusher, in
+// commit-LSN order.
 func (e *Engine) finishCommit(t *Txn) {
 	t.mu.Lock()
-	cleanups := t.onCommit
 	pending := t.pending
 	icleanups := t.cleanups
 	undo := t.undo
-	t.onCommit, t.pending, t.cleanups, t.undo = nil, nil, nil, nil
+	t.pending, t.cleanups, t.undo = nil, nil, nil
 	t.state = TxnCommitted
 	t.mu.Unlock()
 	// The change records were only retained for a rollback that can no longer
@@ -326,15 +272,15 @@ func (e *Engine) finishCommit(t *Txn) {
 	for _, r := range undo {
 		recycleRecord(r)
 	}
-	for _, fn := range cleanups {
-		fn()
-	}
 	// Group-commit epoch advance: assign the next epoch, stamp every version
 	// the transaction installed, then publish the epoch — all under one
 	// mutex, so a snapshot pinning the epoch either sees none of the
 	// transaction's versions (pinned below) or all of them (pinned at or
 	// above). Read-only transactions skip this entirely and do not advance
-	// the epoch.
+	// the epoch. Because completions run in commit-LSN order, and a
+	// transaction that overwrote an early-released row committed at a higher
+	// LSN, a dependent's commit epoch is always above its upstream's: a
+	// snapshot that sees the dependent sees all of the upstream too.
 	//
 	// The END record (best-effort: recovery treats the commit record as
 	// authoritative, and a log closed mid-shutdown just loses the epoch hint)
@@ -343,7 +289,11 @@ func (e *Engine) finishCommit(t *Txn) {
 	// (Checkpoint), so a write transaction is either visible at the pinned
 	// epoch AND ended in the log (its effects live in the image, its tail
 	// records are skipped on replay) or neither — never both, which would
-	// replay its effects on top of an image that already contains them.
+	// replay its effects on top of an image that already contains them. The
+	// LSN order makes the cut closed under early-release dependencies: when
+	// a dependent is visible and ended at the cut, so is its upstream, so
+	// replay never re-applies an upstream's redo underneath a dependent's
+	// write that the image already holds.
 	if len(pending) > 0 || len(icleanups) > 0 {
 		e.epochMu.Lock()
 		epoch := e.visibleEpoch.Load() + 1
@@ -377,7 +327,6 @@ func (e *Engine) Abort(t *Txn) error {
 	undo := t.undo
 	pending := t.pending
 	t.undo = nil
-	t.onCommit = nil
 	t.pending = nil
 	t.cleanups = nil
 	t.state = TxnAborted

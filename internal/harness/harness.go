@@ -156,24 +156,14 @@ type Result struct {
 	// (commit waiters made durable / device writes).
 	CommitsPerFlush float64
 
-	// AppendWait is the per-append reservation-wait histogram (µs): the time
-	// an appender spent joining a consolidation group, waiting for its
-	// leader's reservation, or (latched path) holding the buffer mutex.
+	// AppendWait is the per-append wait histogram (µs): the time an appender
+	// spent acquiring and holding the log buffer latch.
 	AppendWait metrics.HistogramSnapshot
 	// LockHold is the commit-side lock-hold-time histogram (µs): transaction
 	// start to local-lock release. Early lock release shifts it left by the
 	// flush latency, since locks drop at the commit record's append rather
 	// than at its durability.
 	LockHold metrics.HistogramSnapshot
-	// ConsolidationGroups and ConsolidationCommits are the per-group member
-	// and commit-record counts: how many appends shared one buffer-latch
-	// acquisition, and how many of those were commit records.
-	ConsolidationGroups  metrics.HistogramSnapshot
-	ConsolidationCommits metrics.HistogramSnapshot
-	// AppendsPerGroup is the mean consolidation factor over the run (appends
-	// per buffer-latch acquisition; 1.0 means no sharing, i.e. the latched
-	// baseline).
-	AppendsPerGroup float64
 
 	// BoundaryMoves is the number of routing-boundary moves the partition
 	// manager applied during the run (balancer-driven or manual), and
@@ -251,11 +241,6 @@ type Durability struct {
 	// the log tail since the last checkpoint, and old WAL segments are
 	// reclaimed. File-backed engines only.
 	CheckpointEvery time.Duration
-	// LatchedLogAppends forces the WAL back onto the single-latch append path
-	// (every appender takes the buffer mutex and encodes inside it). It is the
-	// A/B baseline for the consolidated-append experiments; leave false for
-	// the consolidation-group path.
-	LatchedLogAppends bool
 }
 
 // Setup creates an engine, loads the workload, and (when executors > 0)
@@ -274,12 +259,11 @@ func Setup(driver workload.Driver, executorsPerTable int, seed int64) (*Bench, e
 // guarantees by reporting READY after Setup returns).
 func SetupDurable(driver workload.Driver, executorsPerTable int, seed int64, dur Durability) (*Bench, error) {
 	cfg := engine.Config{
-		BufferPoolFrames:  1 << 15,
-		LogSync:           dur.Sync,
-		LogSyncEvery:      dur.SyncEvery,
-		LogSegmentSize:    dur.SegmentSize,
-		CheckpointEvery:   dur.CheckpointEvery,
-		LatchedLogAppends: dur.LatchedLogAppends,
+		BufferPoolFrames: 1 << 15,
+		LogSync:          dur.Sync,
+		LogSyncEvery:     dur.SyncEvery,
+		LogSegmentSize:   dur.SegmentSize,
+		CheckpointEvery:  dur.CheckpointEvery,
 	}
 	var e *engine.Engine
 	if dur.LogDir != "" {
@@ -523,16 +507,11 @@ func (b *Bench) Run(cfg Config) Result {
 		ChainLength:     col.ChainLength(),
 		PruneLag:        col.PruneLag(),
 
-		AppendWait:           col.AppendWait(),
-		LockHold:             col.LockHold(),
-		ConsolidationGroups:  col.ConsolidationGroups(),
-		ConsolidationCommits: col.ConsolidationCommits(),
+		AppendWait: col.AppendWait(),
+		LockHold:   col.LockHold(),
 	}
 	if res.LogFlushes > 0 {
 		res.CommitsPerFlush = float64(flushAfter.CommitsFlushed-flushBefore.CommitsFlushed) / float64(res.LogFlushes)
-	}
-	if g := flushAfter.Groups - flushBefore.Groups; g > 0 {
-		res.AppendsPerGroup = float64(flushAfter.Appends-flushBefore.Appends) / float64(g)
 	}
 	res.BoundaryMoves = col.BoundaryMoves()
 	res.Imbalance = col.Imbalance()

@@ -193,18 +193,13 @@ type Collector struct {
 	devWrite  Histogram
 	fsyncHist Histogram
 
-	// Commit-pipeline scalability histograms: appendWait is the time one
-	// log append spent from entry to having its LSN assigned (µs — the
-	// reservation wait that consolidation is meant to shrink), lockHold the
-	// time a committed transaction held its local locks from dispatch to
-	// completion broadcast (µs — the span early lock release shortens),
-	// consGroup the member count of each consolidation group (records per
-	// buffer-latch acquisition), and consCommits the commit records per
-	// group.
-	appendWait  Histogram
-	lockHold    Histogram
-	consGroup   Histogram
-	consCommits Histogram
+	// Commit-pipeline histograms: appendWait is the time one log append
+	// spent from entry to having its LSN assigned (µs — the buffer-latch
+	// wait), and lockHold the time a committed transaction held its local
+	// locks from dispatch to completion broadcast (µs — the span early lock
+	// release shortens).
+	appendWait Histogram
+	lockHold   Histogram
 
 	// Intra-transaction parallelism histograms, in microseconds per
 	// transaction: critPath is the dispatch-to-terminal-RVP wall time (the
@@ -330,23 +325,6 @@ func (m *Collector) ObserveLockHold(d time.Duration) {
 	m.lockHold.Observe(int(d.Microseconds()))
 }
 
-// ObserveConsGroup records the member count of one append consolidation group.
-func (m *Collector) ObserveConsGroup(members int) {
-	if m == nil {
-		return
-	}
-	m.consGroup.Observe(members)
-}
-
-// ObserveConsGroupCommits records the commit-record count of one append
-// consolidation group.
-func (m *Collector) ObserveConsGroupCommits(commits int) {
-	if m == nil {
-		return
-	}
-	m.consCommits.Observe(commits)
-}
-
 // AppendWait returns the log-append reservation-wait histogram (µs).
 func (m *Collector) AppendWait() HistogramSnapshot {
 	return m.appendWait.Snapshot()
@@ -355,16 +333,6 @@ func (m *Collector) AppendWait() HistogramSnapshot {
 // LockHold returns the committed-transaction lock-hold-time histogram (µs).
 func (m *Collector) LockHold() HistogramSnapshot {
 	return m.lockHold.Snapshot()
-}
-
-// ConsolidationGroups returns the members-per-consolidation-group histogram.
-func (m *Collector) ConsolidationGroups() HistogramSnapshot {
-	return m.consGroup.Snapshot()
-}
-
-// ConsolidationCommits returns the commits-per-consolidation-group histogram.
-func (m *Collector) ConsolidationCommits() HistogramSnapshot {
-	return m.consCommits.Snapshot()
 }
 
 // DeviceWriteLatency returns the log-device write-latency histogram (µs).
@@ -672,8 +640,6 @@ func (m *Collector) Reset() {
 	m.fsyncHist.reset()
 	m.appendWait.reset()
 	m.lockHold.reset()
-	m.consGroup.reset()
-	m.consCommits.reset()
 	m.critPath.reset()
 	m.rvpThread.reset()
 	m.chainLen.reset()

@@ -329,7 +329,7 @@ func TestDeviceFailureFailsStopWithoutFalseDurability(t *testing.T) {
 	durableBefore := m.FlushedLSN()
 
 	// Arm the failure: the next flush must not advance the durable
-	// watermark, must wake its waiters, and must fail the manager.
+	// watermark, must complete its callbacks, and must fail the manager.
 	dev.fail = true
 	lsn := mustAppend(t, m, &Record{Txn: 2, Type: RecCommit})
 	done := make(chan struct{})

@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,12 +95,6 @@ type Options struct {
 	// RetryBackoff is the initial retry backoff, doubled per attempt and
 	// capped at MaxRetryBackoff (DefaultRetryBackoff when zero).
 	RetryBackoff time.Duration
-	// LatchedAppends selects the pre-consolidation append path: every
-	// appender takes the buffer mutex and encodes its record inside the
-	// critical section. It exists as the A/B baseline for the consolidated
-	// reservation path (the default) and for experiments that want the old
-	// serialization behavior.
-	LatchedAppends bool
 }
 
 // DefaultWriteRetries is the flusher's default transient-fault retry budget.
@@ -110,100 +106,53 @@ const DefaultRetryBackoff = time.Millisecond
 // MaxRetryBackoff caps the exponential flusher retry backoff.
 const MaxRetryBackoff = 20 * time.Millisecond
 
-// Consolidation-group state packing: one atomic int64 per group counts the
-// joined bytes, members, and commit records. A joiner CAS-adds its delta; the
-// pre-CAS byte count is its offset within the group's reserved region, and
-// the joiner that moves the state off zero becomes the group's leader.
-const (
-	groupClosed     = int64(-1)
-	groupCommitBits = 16
-	groupMemberBits = 16
-	groupByteShift  = groupCommitBits + groupMemberBits
-	groupMemberMax  = 1<<groupMemberBits - 1
-	// soloThreshold routes records too large for the packed byte field
-	// around the consolidation slot (self-reservation under the latch).
-	soloThreshold = 1 << 28
-)
-
-// conGroup is one consolidation group. Concurrent appenders join the open
-// group with a single CAS; the first joiner (the leader) takes the buffer
-// latch once on behalf of everyone, reserves the group's whole byte range,
-// and publishes the reserved region; every member — leader included — then
-// encodes its own record into its slice of the region outside the latch.
-type conGroup struct {
-	state atomic.Int64 // bytes<<32 | members<<16 | commits; groupClosed once sealed
-	ready atomic.Bool  // set by the leader after the fields below are final
-
-	// Published by the leader before ready; read by members after it.
-	base   LSN           // LSN of the group's first reserved byte
-	region []byte        // the reserved buffer range, len == joined bytes
-	encCtr *atomic.Int64 // outstanding-encode counter of the buffer generation
-	err    error         // non-nil when the manager refused the whole group
-}
-
-func packJoin(size int, commit bool) int64 {
-	d := int64(size)<<groupByteShift | 1<<groupCommitBits
-	if commit {
-		d |= 1
-	}
-	return d
-}
-
-func unpackState(s int64) (bytes int64, members, commits int) {
-	return s >> groupByteShift, int(s>>groupCommitBits) & groupMemberMax, int(s) & (1<<groupCommitBits - 1)
-}
-
 // Manager is the log manager: it assigns LSNs, buffers log records, and makes
 // them durable through a pipelined group-commit protocol. The paper notes
 // that under TPC-C NewOrder/Payment and TPC-B the log manager becomes the
 // next bottleneck after the lock manager; instead of serializing every commit
 // through one mutex-held device write, committers append their commit record,
-// register a wakeup channel keyed by LSN, and a dedicated flusher goroutine
-// coalesces all pending commits into one device write (plus, under
-// SyncOnFlush, exactly one fsync). While the flusher is paying the device
-// latency, new records keep accumulating in the buffer, so the next write
-// coalesces everything that arrived meanwhile.
+// register a durable callback keyed by LSN (OnDurable), and a dedicated
+// flusher goroutine coalesces all pending commits into one device write (plus,
+// under SyncOnFlush, exactly one fsync). While the flusher is paying the
+// device latency, new records keep accumulating in the buffer, so the next
+// write coalesces everything that arrived meanwhile.
 //
-// Log insertion itself is consolidated in the style of Aether: appenders
-// CAS-join a consolidation group, the group's leader takes the buffer latch
-// once for everyone and reserves the group's byte range, and every member
-// encodes its record into its reserved slice outside the latch. The latch is
-// therefore paid once per group rather than once per record, and the encode
-// memcpy — the expensive part of an append — runs in parallel across
-// members. Per-transaction chain state (PrevLSN links, first-LSN tracking
-// for checkpoint cuts) lives with the callers: the engine's Txn carries its
-// own chain, and the manager only tracks the BEGIN/END-delimited active set
-// under a dedicated small mutex, off the append path entirely.
+// An append takes the buffer latch (mu) once and encodes its record inside
+// it: the critical section is an LSN assignment and one memcpy.
+// Per-transaction chain state (PrevLSN links) lives with the callers — the
+// engine's Txn carries its own chain — and the manager only tracks the
+// BEGIN/END-delimited active set for checkpoint cuts, under a dedicated small
+// mutex.
+//
+// Completion is sequenced: the flusher is the only goroutine that runs
+// durable callbacks. After each device write it drops mu and runs every
+// callback the write made durable, one at a time, in LSN order. A caller that
+// registers its callback before letting a dependent run therefore completes
+// before that dependent, whose record (and callback) necessarily comes later
+// — the ordering the engine's early lock release relies on. Completion
+// callbacks must never block on the log: Flush, FlushAll, Engine.Commit, or
+// anything else that waits for the flusher deadlocks when called from one.
+// Appending is fine.
 //
 // The durability path is pluggable: the Device interface hides whether the
 // log lands in a byte slice (the paper's in-memory setup) or in checksummed,
 // length-framed segment files that a restarted process can recover.
 type Manager struct {
-	mu       sync.Mutex
-	buf      []byte // unflushed tail of the log
-	flushing []byte // chunk the flusher is currently writing to the device
-	spare    []byte // recycled write buffer
-	dev      Device // the durable ("flushed") log image
-	devSize  int64  // logical record-stream bytes accepted by the device, truncated prefix included
-	base     LSN    // LSN of the device's first retained byte (1 until TruncateBefore)
-	waiters  []flushWaiter
+	mu        sync.Mutex
+	buf       []byte // unflushed tail of the log
+	flushing  []byte // chunk the flusher is currently writing to the device
+	spare     []byte // recycled write buffer
+	dev       Device // the durable ("flushed") log image
+	devSize   int64  // logical record-stream bytes accepted by the device, truncated prefix included
+	base      LSN    // LSN of the device's first retained byte (1 until TruncateBefore)
+	callbacks []durableCallback
 
-	// nextLSN and flushedLSN are written under mu (by reservations and the
+	// nextLSN and flushedLSN are written under mu (by appenders and the
 	// flusher respectively) and read lock-free by the hot stats getters
 	// (CurrentLSN, FlushedLSN, Backlog) so admission probes and metrics
 	// never contend with appenders.
 	nextLSN    atomic.Uint64
 	flushedLSN atomic.Uint64
-
-	// slot is the open consolidation group; encPending counts the encodes
-	// still in flight into the current buffer generation (members that have
-	// reserved a region but not finished writing it). The flusher waits it
-	// out before handing the swapped-out chunk to the device, and the latch
-	// holder waits it out before any buffer growth that would move the
-	// backing array under an in-flight encoder.
-	slot       atomic.Pointer[conGroup]
-	encPending *atomic.Int64
-	latched    bool // Options.LatchedAppends: encode under the mutex (A/B baseline)
 
 	// activeMu guards the BEGIN/END-delimited active-transaction set that
 	// fuzzy checkpoints cut against. Only transaction boundaries touch it —
@@ -234,7 +183,6 @@ type Manager struct {
 	// getters never take the manager mutex.
 	flushes        atomic.Uint64
 	appends        atomic.Uint64
-	groups         atomic.Uint64 // consolidation groups (latch acquisitions for appends)
 	commitsFlushed atomic.Uint64
 	maxCoalesced   atomic.Uint64
 	syncs          atomic.Uint64
@@ -266,10 +214,10 @@ type Manager struct {
 	closeErr   error
 }
 
-// flushWaiter is one committer waiting for its LSN to become durable.
-type flushWaiter struct {
+// durableCallback is one completion waiting for its LSN to become durable.
+type durableCallback struct {
 	lsn LSN
-	ch  chan struct{}
+	fn  func()
 }
 
 // NewManager returns an empty log manager over the in-memory device with its
@@ -298,12 +246,9 @@ func Open(opts Options) (*Manager, error) {
 		policy:     opts.Sync,
 		syncEvery:  opts.SyncEvery,
 		flushDelay: opts.FlushDelay,
-		latched:    opts.LatchedAppends,
 	}
 	m.base = 1
 	m.nextLSN.Store(1) // LSN 0 is NilLSN
-	m.encPending = new(atomic.Int64)
-	m.slot.Store(new(conGroup))
 	if m.policy == SyncInterval && m.syncEvery <= 0 {
 		m.syncEvery = DefaultSyncInterval
 	}
@@ -449,20 +394,19 @@ func (m *Manager) SetFlushDelay(d time.Duration) {
 }
 
 // SetCollector attaches a metrics collector that receives the
-// commits-coalesced-per-flush, consolidation-group, append-wait, and
-// device-write/fsync latency histograms; nil detaches.
+// commits-coalesced-per-flush, append-wait, and device-write/fsync latency
+// histograms; nil detaches.
 func (m *Manager) SetCollector(c *metrics.Collector) {
 	m.col.Store(c)
 }
 
-// Append assigns the record an LSN and buffers its encoded form, consolidating
-// concurrent appenders into groups that share one buffer-latch acquisition
-// (see the Manager comment). The caller owns the record's PrevLSN chain: the
-// manager writes whatever chain state the record carries. It returns the
-// assigned LSN, or ErrClosed after Close (a closed manager's log image is
-// final and must not be mutated), or the latched device error after a device
-// failure (a failed manager accepts no new work: its on-disk stream ends at
-// the last successful write).
+// Append assigns the record an LSN and encodes it into the log buffer under
+// the buffer latch. The caller owns the record's PrevLSN chain: the manager
+// writes whatever chain state the record carries. It returns the assigned
+// LSN, or ErrClosed after Close (a closed manager's log image is final and
+// must not be mutated), or the latched device error after a device failure (a
+// failed manager accepts no new work: its on-disk stream ends at the last
+// successful write).
 func (m *Manager) Append(r *Record) (LSN, error) {
 	if r.Txn != 0 && r.Type == RecBegin {
 		// A BEGIN both reserves log space and registers the transaction in
@@ -489,106 +433,13 @@ func (m *Manager) Append(r *Record) (LSN, error) {
 	return lsn, err
 }
 
-// append routes one record to the configured insertion path.
+// append assigns the LSN and encodes the record, both inside the latch.
 func (m *Manager) append(r *Record) (LSN, error) {
 	col := m.col.Load()
 	var t0 time.Time
 	if col != nil {
 		t0 = time.Now()
 	}
-	var lsn LSN
-	var err error
-	size := r.encodedSize()
-	switch {
-	case m.latched:
-		lsn, err = m.appendLatched(r)
-	case size >= soloThreshold:
-		lsn, err = m.appendSolo(r, size)
-	default:
-		lsn, err = m.appendConsolidated(r, size)
-	}
-	if col != nil && err == nil {
-		col.ObserveAppendWait(time.Since(t0))
-	}
-	return lsn, err
-}
-
-// appendConsolidated is the default insertion path: join the open
-// consolidation group, elect the first joiner as leader, and encode into the
-// group's published region outside the latch.
-func (m *Manager) appendConsolidated(r *Record, size int) (LSN, error) {
-	var g *conGroup
-	var prefix int64
-	for {
-		g = m.slot.Load()
-		s := g.state.Load()
-		if s == groupClosed || (s>>groupCommitBits)&groupMemberMax == groupMemberMax {
-			// The group sealed (or filled) under us; its leader installs a
-			// fresh one momentarily.
-			runtime.Gosched()
-			continue
-		}
-		if g.state.CompareAndSwap(s, s+packJoin(size, r.Type == RecCommit)) {
-			prefix = s >> groupByteShift
-			if s == 0 {
-				m.leadGroup(g)
-			}
-			break
-		}
-	}
-	// The leader published the group's reservation (or its refusal).
-	for !g.ready.Load() {
-		runtime.Gosched()
-	}
-	if g.err != nil {
-		return NilLSN, g.err
-	}
-	r.LSN = g.base + LSN(prefix)
-	r.encodeInto(g.region[prefix : prefix+int64(size)])
-	g.encCtr.Add(-1)
-	return r.LSN, nil
-}
-
-// leadGroup runs the group's single latched section: take the buffer mutex on
-// behalf of every member (the group keeps accruing joiners while the leader
-// waits for it), seal the group, reserve its byte range, and publish the
-// region. Called by the joiner whose CAS moved the group state off zero.
-func (m *Manager) leadGroup(g *conGroup) {
-	m.mu.Lock()
-	// Open a fresh group first so sealed-out joiners have somewhere to go,
-	// then seal: every joiner whose CAS landed before the swap is included
-	// in the totals and gets a slice of the reservation.
-	m.slot.Store(new(conGroup))
-	bytes, members, commits := unpackState(g.state.Swap(groupClosed))
-	if m.closed {
-		g.err = ErrClosed
-		m.mu.Unlock()
-		g.ready.Store(true)
-		return
-	}
-	if m.devErr != nil {
-		g.err = wrapDevErr(m.devErr)
-		m.mu.Unlock()
-		g.ready.Store(true)
-		return
-	}
-	region, base := m.reserveLocked(int(bytes))
-	g.region, g.base = region, base
-	g.encCtr = m.encPending
-	g.encCtr.Add(int64(members))
-	m.appends.Add(uint64(members))
-	m.groups.Add(1)
-	m.mu.Unlock()
-	g.ready.Store(true)
-	if col := m.col.Load(); col != nil {
-		col.ObserveConsGroup(members)
-		col.ObserveConsGroupCommits(commits)
-	}
-}
-
-// appendSolo reserves and encodes one oversized record as a group of its own
-// (still encoding outside the latch).
-func (m *Manager) appendSolo(r *Record, size int) (LSN, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -599,108 +450,57 @@ func (m *Manager) appendSolo(r *Record, size int) (LSN, error) {
 		m.mu.Unlock()
 		return NilLSN, err
 	}
-	region, base := m.reserveLocked(size)
-	ctr := m.encPending
-	ctr.Add(1)
-	m.appends.Add(1)
-	m.groups.Add(1)
-	m.mu.Unlock()
-	r.LSN = base
-	r.encodeInto(region)
-	ctr.Add(-1)
-	return base, nil
-}
-
-// appendLatched is the pre-consolidation baseline: reservation and encode
-// both inside the critical section, one latch acquisition per record.
-func (m *Manager) appendLatched(r *Record) (LSN, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return NilLSN, ErrClosed
-	}
-	if m.devErr != nil {
-		return NilLSN, wrapDevErr(m.devErr)
-	}
-	r.LSN = LSN(1 + m.devSize + int64(len(m.flushing)) + int64(len(m.buf)))
+	off := len(m.buf)
+	r.LSN = LSN(m.nextLSN.Load())
 	m.buf = r.encode(m.buf)
-	m.nextLSN.Store(uint64(1 + m.devSize + int64(len(m.flushing)) + int64(len(m.buf))))
+	m.nextLSN.Add(uint64(len(m.buf) - off))
+	m.mu.Unlock()
 	m.appends.Add(1)
-	m.groups.Add(1)
+	if col != nil {
+		col.ObserveAppendWait(time.Since(t0))
+	}
 	return r.LSN, nil
 }
 
-// minBufCap is the initial reservation-buffer capacity; growing by doubling
-// from here keeps reallocation (which must wait out in-flight encoders) rare.
-const minBufCap = 64 << 10
-
-// reserveLocked extends the buffer by n bytes and returns the reserved region
-// and its base LSN. The caller holds mu. Growth that would move the backing
-// array first waits out every in-flight encoder — their regions alias the
-// current array — which terminates because encoders never need the latch and
-// no new reservation can start while we hold it.
-func (m *Manager) reserveLocked(n int) ([]byte, LSN) {
-	off := len(m.buf)
-	if off+n > cap(m.buf) {
-		for m.encPending.Load() > 0 {
-			runtime.Gosched()
-		}
-		newCap := 2 * cap(m.buf)
-		if newCap < off+n {
-			newCap = off + n
-		}
-		if newCap < minBufCap {
-			newCap = minBufCap
-		}
-		nb := make([]byte, off, newCap)
-		copy(nb, m.buf)
-		m.buf = nb
-	}
-	m.buf = m.buf[: off+n : cap(m.buf)]
-	base := LSN(1 + m.devSize + int64(len(m.flushing)) + int64(off))
-	m.nextLSN.Store(uint64(base) + uint64(n))
-	return m.buf[off : off+n], base
-}
-
-// FlushAsync requests that the log become durable up to at least lsn. It
-// returns nil when lsn is already durable; otherwise it registers a wakeup
-// channel that the flusher closes once the covering device write completes.
-func (m *Manager) FlushAsync(lsn LSN) <-chan struct{} {
+// OnDurable registers fn to run once the log is durable up to at least lsn.
+// The flusher runs it (see the Manager comment for the ordering guarantee),
+// also when lsn is already durable: registration never completes inline. If
+// the device fails or closes first, fn runs anyway, so nothing waits forever;
+// it tells the cases apart by comparing its LSN with FlushedLSN. fn must not
+// block on the log.
+func (m *Manager) OnDurable(lsn LSN, fn func()) {
 	m.mu.Lock()
 	if next := LSN(m.nextLSN.Load()); lsn >= next {
 		// Clamp FlushAll-style requests to the last appended byte so the
-		// waiter is satisfiable.
+		// callback is satisfiable.
 		lsn = next - 1
 	}
-	if lsn <= LSN(m.flushedLSN.Load()) {
-		m.mu.Unlock()
-		return nil
-	}
-	ch := make(chan struct{})
-	m.waiters = append(m.waiters, flushWaiter{lsn: lsn, ch: ch})
+	m.callbacks = append(m.callbacks, durableCallback{lsn: lsn, fn: fn})
 	m.mu.Unlock()
 	select {
 	case <-m.quit:
-		// The flusher has been asked to exit (commit racing Close); write the
-		// log ourselves so the waiter is not stranded.
+		// The flusher has been asked to exit (commit racing Close); once it
+		// has, run the drain ourselves so the callback is not stranded.
 		<-m.exited
 		m.flushOnce()
 	default:
 		select {
 		case m.flushReq <- struct{}{}:
-		default: // a request is already pending; it covers this waiter
+		default: // a request is already pending; it covers this callback
 		}
 	}
-	return ch
 }
 
 // Flush forces the log up to at least lsn, blocking until the group-commit
-// flusher reports it durable. Group commit falls out naturally: every
-// concurrently buffered record rides the same device write.
+// flusher reports it durable (or the device fails). Group commit falls out
+// naturally: every concurrently buffered record rides the same device write.
 func (m *Manager) Flush(lsn LSN) {
-	if ch := m.FlushAsync(lsn); ch != nil {
-		<-ch
+	if lsn <= m.FlushedLSN() {
+		return
 	}
+	done := make(chan struct{})
+	m.OnDurable(lsn, func() { close(done) })
+	<-done
 }
 
 // FlushAll forces the entire log.
@@ -716,7 +516,7 @@ func (m *Manager) flusher() {
 		case <-m.flushReq:
 			m.flushOnce()
 		case <-m.quit:
-			m.flushOnce() // final drain so no registered waiter is stranded
+			m.flushOnce() // final drain so no registered callback is stranded
 			return
 		}
 	}
@@ -762,53 +562,31 @@ func (m *Manager) syncLoop() {
 }
 
 // flushOnce coalesces the entire buffered tail into one device write (and,
-// under SyncOnFlush, exactly one fsync), then wakes every waiter the write
-// covered. The device latency is paid without holding the manager mutex, so
-// appends (and therefore the next commit group) proceed while the write is in
-// flight. Before the chunk goes to the device the flusher waits out the
-// members still encoding into it; they hold slices of the swapped-out array,
-// so the swap itself never blocks on them.
+// under SyncOnFlush, exactly one fsync), then runs every durable callback the
+// write covered. The device latency is paid without holding the manager
+// mutex, so appends (and therefore the next commit group) proceed while the
+// write is in flight; the callbacks run after mu is dropped too.
 func (m *Manager) flushOnce() {
 	m.mu.Lock()
 	for m.flushInProgress {
 		m.flushDone.Wait()
 	}
-	if m.devClosed || m.devErr != nil {
-		// The device is gone or failed: wake everyone so no committer hangs
-		// (after a failure they observe Err, not durability).
-		m.wakeAllLocked()
+	if failed := m.devClosed || m.devErr != nil; failed || len(m.buf) == 0 {
+		// Nothing to write, or the device is gone or failed. In the latter
+		// case complete everyone so no committer hangs: they observe Err,
+		// not durability.
+		ready := m.takeCallbacksLocked(failed)
 		m.mu.Unlock()
-		return
-	}
-	if len(m.buf) == 0 {
-		m.wakeLocked()
-		m.mu.Unlock()
+		runCallbacks(ready)
 		return
 	}
 	m.flushInProgress = true
 	delay := m.flushDelay
 	policy := m.policy
 	firstLSN := LSN(m.devSize) + 1
-	m.flushing = m.buf
-	drain := m.encPending
-	m.encPending = new(atomic.Int64)
-	if m.spare != nil {
-		// The spare array's encoders drained before its own device write two
-		// generations ago; nothing aliases it.
-		m.buf = m.spare[:0]
-		m.spare = nil
-	} else {
-		m.buf = nil
-	}
-	chunk := m.flushing
+	chunk := m.buf
+	m.flushing, m.buf, m.spare = chunk, m.spare, nil
 	m.mu.Unlock()
-
-	// Wait for the members still encoding into the swapped-out chunk. No new
-	// encoder can join it — reservations target the fresh buffer — so this
-	// drains in the time of the slowest in-flight memcpy.
-	for drain.Load() > 0 {
-		runtime.Gosched()
-	}
 
 	if delay > 0 {
 		time.Sleep(delay) // the modeled extra device latency
@@ -850,30 +628,31 @@ func (m *Manager) flushOnce() {
 		// The write (or its fsync) failed: the manager is now failed. Roll
 		// the chunk back off the device (best-effort) so commits reported as
 		// not-durable cannot resurrect as winners on the next open, keep the
-		// durable watermark where it was, and wake every waiter so no
-		// committer hangs; they observe the failure through Err (the engine's
-		// commit paths check it after the wakeup) and every further
-		// Append/flush is refused.
+		// durable watermark where it was, and complete every callback so no
+		// committer hangs; they observe the failure through FlushedLSN and
+		// Err, and every further Append/flush is refused.
 		m.dev.Unappend() //nolint:errcheck // best-effort on an already-failed device
 		if m.devErr == nil {
 			m.devErr = err
 		}
 		m.flushing = nil
-		m.wakeAllLocked()
+		ready := m.takeCallbacksLocked(true)
 		m.flushInProgress = false
 		m.flushDone.Broadcast()
 		m.mu.Unlock()
+		runCallbacks(ready)
 		return
 	}
 	m.devSize += int64(len(chunk))
-	m.spare = m.flushing[:0]
+	m.spare = chunk[:0]
 	m.flushing = nil
 	m.flushedLSN.Store(uint64(m.devSize))
 	m.flushes.Add(1)
 	if synced {
 		m.syncs.Add(1)
 	}
-	woken := m.wakeLocked()
+	ready := m.takeCallbacksLocked(false)
+	woken := len(ready)
 	m.commitsFlushed.Add(uint64(woken))
 	if uint64(woken) > m.maxCoalesced.Load() {
 		// Only the flusher writes maxCoalesced, and flushes are serialized by
@@ -890,36 +669,41 @@ func (m *Manager) flushOnce() {
 			col.ObserveFsync(syncDur)
 		}
 	}
+	runCallbacks(ready)
 }
 
-// wakeAllLocked closes every waiter's channel regardless of durability; used
-// when the device is failed or closed so no committer hangs. The caller holds
-// mu. It returns the number woken.
-func (m *Manager) wakeAllLocked() int {
-	woken := len(m.waiters)
-	for _, w := range m.waiters {
-		close(w.ch)
-	}
-	m.waiters = m.waiters[:0]
-	return woken
-}
-
-// wakeLocked closes the channel of every waiter whose LSN is durable and
-// compacts the list. The caller holds mu. It returns the number woken.
-func (m *Manager) wakeLocked() int {
-	woken := 0
+// takeCallbacksLocked removes and returns the callbacks whose LSN is durable,
+// or every callback when all is set (the device failed or closed). The caller
+// holds mu.
+func (m *Manager) takeCallbacksLocked(all bool) []durableCallback {
 	flushed := LSN(m.flushedLSN.Load())
-	remaining := m.waiters[:0]
-	for _, w := range m.waiters {
-		if w.lsn <= flushed {
-			close(w.ch)
-			woken++
+	var ready []durableCallback
+	remaining := m.callbacks[:0]
+	for _, cb := range m.callbacks {
+		if all || cb.lsn <= flushed {
+			ready = append(ready, cb)
 		} else {
-			remaining = append(remaining, w)
+			remaining = append(remaining, cb)
 		}
 	}
-	m.waiters = remaining
-	return woken
+	clear(m.callbacks[len(remaining):]) // drop the taken closures for the GC
+	m.callbacks = remaining
+	return ready
+}
+
+// runCallbacks runs durable callbacks one at a time in LSN order. The caller
+// must not hold mu.
+func runCallbacks(ready []durableCallback) {
+	slices.SortStableFunc(ready, func(a, b durableCallback) int { return cmp.Compare(a.lsn, b.lsn) })
+	for _, cb := range ready {
+		cb.fn()
+	}
+	if len(ready) > 0 {
+		// The callbacks woke committers, which the scheduler queues on this
+		// goroutine's P. Yield so they run now instead of waiting behind the
+		// next flush: without it, tm1_mix p99 doubled.
+		runtime.Gosched()
+	}
 }
 
 // CurrentLSN returns the LSN that the next appended record will receive.
@@ -1013,16 +797,17 @@ type FlushStats struct {
 	// Appends is the number of records appended.
 	Appends uint64
 	// Groups is the number of buffer-latch acquisitions that served those
-	// appends: consolidation groups plus solo reservations (equal to Appends
-	// under LatchedAppends). Appends/Groups is the mean consolidation factor.
+	// appends. Every append takes the latch once, so it always equals
+	// Appends; it is kept for readers that report appends per acquisition.
 	Groups uint64
 	// Flushes is the number of log device writes performed.
 	Flushes uint64
 	// Syncs is the number of fsyncs issued (once per flush under SyncOnFlush,
 	// on the background cadence under SyncInterval, zero under SyncNone).
 	Syncs uint64
-	// CommitsFlushed is the number of registered commit waiters made durable
-	// across all flushes; CommitsFlushed/Flushes is the average group size.
+	// CommitsFlushed is the number of durable callbacks (commits and Flush
+	// calls) completed by device writes; CommitsFlushed/Flushes is the
+	// average group size.
 	CommitsFlushed uint64
 	// MaxCoalesced is the largest commit group a single flush made durable.
 	MaxCoalesced uint64
@@ -1034,9 +819,10 @@ type FlushStats struct {
 // FlushStats returns a snapshot of the group-commit counters without taking
 // the manager mutex.
 func (m *Manager) FlushStats() FlushStats {
+	appends := m.appends.Load()
 	return FlushStats{
-		Appends:        m.appends.Load(),
-		Groups:         m.groups.Load(),
+		Appends:        appends,
+		Groups:         appends,
 		Flushes:        m.flushes.Load(),
 		Syncs:          m.syncs.Load(),
 		CommitsFlushed: m.commitsFlushed.Load(),
@@ -1047,16 +833,12 @@ func (m *Manager) FlushStats() FlushStats {
 
 // image returns the full logical log image (durable, in-flight, and buffered
 // bytes). It waits out any in-progress flush so the device read is
-// frame-consistent, and any in-flight encoders so the buffered tail is fully
-// materialized.
+// frame-consistent.
 func (m *Manager) image(durableOnly bool) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for m.flushInProgress {
 		m.flushDone.Wait()
-	}
-	for m.encPending.Load() > 0 {
-		runtime.Gosched()
 	}
 	base, stream, err := m.dev.ReadAll()
 	if err != nil {

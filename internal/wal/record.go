@@ -167,16 +167,6 @@ func (r *Record) encode(dst []byte) []byte {
 	return dst
 }
 
-// encodeInto writes the record's binary form into dst, which must be exactly
-// encodedSize() bytes. It is the out-of-latch half of a consolidated append:
-// the caller reserved dst inside the buffer latch and encodes into it outside.
-func (r *Record) encodeInto(dst []byte) {
-	out := r.encode(dst[:0])
-	if len(out) != len(dst) || &out[0] != &dst[0] {
-		panic("wal: encodeInto reservation does not match encoded size")
-	}
-}
-
 // decodeRecord decodes one record from data, returning the record and the
 // number of bytes consumed.
 func decodeRecord(data []byte) (*Record, int, error) {

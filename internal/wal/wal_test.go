@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -253,7 +254,7 @@ func TestGroupCommitCoalescesConcurrentCommits(t *testing.T) {
 
 	st := m.FlushStats()
 	// A committer whose LSN was already durable when it called Flush never
-	// registers a waiter, so CommitsFlushed may undercount slightly.
+	// registers a callback, so CommitsFlushed may undercount slightly.
 	if st.CommitsFlushed == 0 || st.CommitsFlushed > goroutines*perG {
 		t.Fatalf("CommitsFlushed = %d, want in (0, %d]", st.CommitsFlushed, goroutines*perG)
 	}
@@ -272,24 +273,45 @@ func TestGroupCommitCoalescesConcurrentCommits(t *testing.T) {
 	}
 }
 
-func TestFlushAsyncWakesAtDurability(t *testing.T) {
+// Durable callbacks run on the flusher, after durability, one at a time and
+// in LSN order — also when registered out of order, and also when the LSN was
+// already durable at registration (which queues for the flusher rather than
+// completing inline).
+func TestOnDurableRunsOnFlusherInLSNOrder(t *testing.T) {
 	m := NewManager()
 	defer m.Close()
-	lsn := mustAppend(t, m, &Record{Txn: 1, Type: RecCommit})
-	ch := m.FlushAsync(lsn)
-	if ch == nil {
-		t.Fatal("FlushAsync of an unflushed LSN returned nil")
-	}
+	lsn0 := mustAppend(t, m, &Record{Txn: 1, Type: RecCommit})
+	entered, unblock := make(chan struct{}), make(chan struct{})
+	m.OnDurable(lsn0, func() {
+		close(entered)
+		<-unblock
+	})
 	select {
-	case <-ch:
+	case <-entered:
 	case <-time.After(5 * time.Second):
-		t.Fatal("flush wakeup never arrived")
+		t.Fatal("durable callback never ran")
 	}
-	if m.FlushedLSN() < lsn {
-		t.Fatalf("FlushedLSN = %d after wakeup, want >= %d", m.FlushedLSN(), lsn)
+	if m.FlushedLSN() < lsn0 {
+		t.Fatalf("FlushedLSN = %d in the callback, want >= %d", m.FlushedLSN(), lsn0)
 	}
-	if m.FlushAsync(lsn) != nil {
-		t.Fatal("FlushAsync of a durable LSN should return nil")
+
+	// The flusher is parked in the first callback, so nothing below can run
+	// until it is released: order is written only by the flusher.
+	var order []LSN
+	m.OnDurable(lsn0, func() { order = append(order, lsn0) })
+	lsn1 := mustAppend(t, m, &Record{Txn: 2, Type: RecCommit})
+	lsn2 := mustAppend(t, m, &Record{Txn: 3, Type: RecCommit})
+	done := make(chan struct{})
+	m.OnDurable(lsn2, func() { order = append(order, lsn2); close(done) })
+	m.OnDurable(lsn1, func() { order = append(order, lsn1) })
+	close(unblock)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("durable callbacks never ran")
+	}
+	if want := []LSN{lsn0, lsn1, lsn2}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("callback order = %v, want LSN order %v", order, want)
 	}
 }
 
