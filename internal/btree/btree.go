@@ -11,6 +11,10 @@
 // leaf splits, because a flagged entry is the only path by which an
 // epoch-pinned snapshot reaches the old version chain of a deleted record.
 //
+// Nodes are binary-searched, and each operation seeks its leaf once: probes,
+// scans and deletes start from the first entry >= their key (seek), and an
+// insert checks uniqueness at the leaf its single descent reaches.
+//
 // The tree keeps all nodes in memory (the paper's evaluation stores the whole
 // database on an in-memory file system) and is protected by a single
 // reader-writer latch; index latching is not the contention the paper studies,
@@ -21,6 +25,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"dora/internal/latch"
 	"dora/internal/storage"
@@ -51,13 +56,46 @@ type Entry struct {
 type node struct {
 	leaf bool
 
-	// Branch nodes: keys[i] is the smallest key in children[i+1].
+	// Branch nodes: every key in children[i] is <= keys[i], which is <= every
+	// key in children[i+1]. A run of duplicates may straddle a separator.
 	keys     []storage.Key
 	children []*node
 
-	// Leaf nodes.
-	entries []Entry
-	next    *node
+	// Leaf nodes, chained in key order in both directions.
+	entries    []Entry
+	prev, next *node
+}
+
+// childIndex returns the child of branch n to descend into for key. Lookups
+// (after=false) go left on a key equal to a separator, reaching the start of
+// a run of duplicates; inserts (after=true) go right, so a new duplicate
+// joins the end of its run.
+func (n *node) childIndex(key storage.Key, after bool) int {
+	lo, hi := 0, len(n.keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c := bytes.Compare(n.keys[m], key); c < 0 || after && c == 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// entryIndex returns the position of the first entry of leaf n whose key is
+// >= key (after=false) or > key (after=true).
+func (n *node) entryIndex(key storage.Key, after bool) int {
+	lo, hi := 0, len(n.entries)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c := bytes.Compare(n.entries[m].Key, key); c < 0 || after && c == 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Tree is a B+Tree index.
@@ -96,23 +134,16 @@ func (t *Tree) Len() int {
 func (t *Tree) Insert(e Entry) error {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	if t.unique {
-		leaf := t.findLeaf(e.Key)
-	scan:
-		for leaf != nil {
-			for i := range leaf.entries {
-				cmp := bytes.Compare(leaf.entries[i].Key, e.Key)
-				if cmp > 0 {
-					break scan
-				}
-				if cmp == 0 && !leaf.entries[i].Deleted {
-					return ErrDuplicateKey
-				}
-			}
-			leaf = leaf.next
+	right, splitKey, err := t.insertInto(t.root, e, false)
+	if err != nil {
+		return err
+	}
+	if right != nil {
+		t.root = &node{
+			keys:     []storage.Key{splitKey},
+			children: []*node{t.root, right},
 		}
 	}
-	t.insert(e)
 	t.size++
 	return nil
 }
@@ -121,18 +152,16 @@ func (t *Tree) Insert(e Entry) error {
 func (t *Tree) SearchUnique(key storage.Key) (Entry, bool) {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
-	leaf := t.findLeaf(key)
-	for leaf != nil {
-		for _, e := range leaf.entries {
-			cmp := bytes.Compare(e.Key, key)
-			if cmp > 0 {
+	for n, i := t.seek(key); n != nil; n, i = n.next, 0 {
+		for ; i < len(n.entries); i++ {
+			e := &n.entries[i]
+			if !bytes.Equal(e.Key, key) {
 				return Entry{}, false
 			}
-			if cmp == 0 && !e.Deleted {
-				return e, true
+			if !e.Deleted {
+				return *e, true
 			}
 		}
-		leaf = leaf.next
 	}
 	return Entry{}, false
 }
@@ -148,8 +177,6 @@ func (t *Tree) Search(key storage.Key) []Entry {
 		}
 		return false
 	})
-	// ScanPrefix includes keys that merely start with the prefix; filter to
-	// exact matches only (done above) — out already holds them.
 	return out
 }
 
@@ -160,25 +187,16 @@ func (t *Tree) Search(key storage.Key) []Entry {
 func (t *Tree) ScanPrefix(prefix storage.Key, fn func(Entry) bool) {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
-	leaf := t.findLeaf(prefix)
-	for leaf != nil {
-		for _, e := range leaf.entries {
-			if e.Deleted {
-				continue
+	for n, i := t.seek(prefix); n != nil; n, i = n.next, 0 {
+		for ; i < len(n.entries); i++ {
+			e := &n.entries[i]
+			if !e.Key.HasPrefix(prefix) {
+				return
 			}
-			if len(prefix) > 0 {
-				if bytes.Compare(e.Key, prefix) < 0 {
-					continue
-				}
-				if !e.Key.HasPrefix(prefix) {
-					return
-				}
-			}
-			if !fn(e) {
+			if !e.Deleted && !fn(*e) {
 				return
 			}
 		}
-		leaf = leaf.next
 	}
 }
 
@@ -200,7 +218,7 @@ const scanChunk = 128
 // flagged entry fn observes still has its version chain installed (the pruner
 // removes entries under the write latch before freeing chains). The latch is
 // NOT held across the whole scan: every scanChunk entries it is dropped and
-// re-acquired, and the scan re-descends to just after the last visited key. A
+// re-acquired, and the scan re-seeks to just after the last visited key. A
 // chunk only ever breaks between distinct keys — duplicate entries of one key
 // (a flagged relic plus a live reinsertion) are always visited under a single
 // hold, so a caller deduplicating by key never loses the entry that resolves.
@@ -209,46 +227,45 @@ const scanChunk = 128
 // already-pinned snapshot, and the pruner only unlinks entries whose delete
 // is already visible to every registered snapshot.
 func (t *Tree) ScanPrefixAll(prefix storage.Key, fn func(Entry) bool) {
-	var last storage.Key // last key fully emitted; nil until the first entry
+	var last storage.Key // key of the last emitted entry
+	resume := false      // the previous hold stopped after every entry of last
 	for {
 		t.latch.RLock()
 		start := prefix
-		if last != nil {
+		if resume {
 			start = last
 		}
-		n := 0
-		again := false
-		leaf := t.findLeaf(start)
+		skip, visited := resume, 0
+		resume = false
+		n, i := t.seek(start)
 	chunk:
-		for leaf != nil {
-			for _, e := range leaf.entries {
-				if last != nil && bytes.Compare(e.Key, last) <= 0 {
-					continue
-				}
-				if len(prefix) > 0 {
-					if bytes.Compare(e.Key, prefix) < 0 {
+		for ; n != nil; n, i = n.next, 0 {
+			for ; i < len(n.entries); i++ {
+				e := &n.entries[i]
+				if skip {
+					if bytes.Equal(e.Key, last) {
 						continue
 					}
-					if !e.Key.HasPrefix(prefix) {
-						t.latch.RUnlock()
-						return
-					}
+					skip = false
 				}
-				if n >= scanChunk && !bytes.Equal(e.Key, last) {
-					again = true
+				if !e.Key.HasPrefix(prefix) {
+					t.latch.RUnlock()
+					return
+				}
+				if visited >= scanChunk && !bytes.Equal(e.Key, last) {
+					resume = true
 					break chunk
 				}
-				if !fn(e) {
+				if !fn(*e) {
 					t.latch.RUnlock()
 					return
 				}
 				last = append(last[:0], e.Key...)
-				n++
+				visited++
 			}
-			leaf = leaf.next
 		}
 		t.latch.RUnlock()
-		if !again {
+		if !resume {
 			return
 		}
 	}
@@ -262,18 +279,13 @@ func (t *Tree) ScanPrefixAll(prefix storage.Key, fn func(Entry) bool) {
 func (t *Tree) SearchEach(key storage.Key, fn func(Entry) bool) {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
-	leaf := t.findLeaf(key)
-	for leaf != nil {
-		for _, e := range leaf.entries {
-			cmp := bytes.Compare(e.Key, key)
-			if cmp > 0 {
-				return
-			}
-			if cmp == 0 && !fn(e) {
+	for n, i := t.seek(key); n != nil; n, i = n.next, 0 {
+		for ; i < len(n.entries); i++ {
+			e := &n.entries[i]
+			if !bytes.Equal(e.Key, key) || !fn(*e) {
 				return
 			}
 		}
-		leaf = leaf.next
 	}
 }
 
@@ -282,23 +294,16 @@ func (t *Tree) SearchEach(key storage.Key, fn func(Entry) bool) {
 func (t *Tree) ScanRange(lo, hi storage.Key, fn func(Entry) bool) {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
-	leaf := t.findLeaf(lo)
-	for leaf != nil {
-		for _, e := range leaf.entries {
-			if e.Deleted {
-				continue
-			}
-			if len(lo) > 0 && bytes.Compare(e.Key, lo) < 0 {
-				continue
-			}
+	for n, i := t.seek(lo); n != nil; n, i = n.next, 0 {
+		for ; i < len(n.entries); i++ {
+			e := &n.entries[i]
 			if hi != nil && bytes.Compare(e.Key, hi) >= 0 {
 				return
 			}
-			if !fn(e) {
+			if !e.Deleted && !fn(*e) {
 				return
 			}
 		}
-		leaf = leaf.next
 	}
 }
 
@@ -315,35 +320,33 @@ func (t *Tree) ScanAll(fn func(Entry) bool) {
 func (t *Tree) Delete(key storage.Key, rid storage.RID) bool {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	var flaggedLeaf *node
+	var flagged *node
 	flaggedIdx := -1
-	leaf := t.findLeaf(key)
 scan:
-	for leaf != nil {
-		for i := range leaf.entries {
-			e := &leaf.entries[i]
-			cmp := bytes.Compare(e.Key, key)
-			if cmp > 0 {
+	for n, i := t.seek(key); n != nil; n, i = n.next, 0 {
+		for ; i < len(n.entries); i++ {
+			e := &n.entries[i]
+			if !bytes.Equal(e.Key, key) {
 				break scan
 			}
-			if cmp == 0 && e.RID == rid {
-				if !e.Deleted {
-					t.size--
-					leaf.entries = append(leaf.entries[:i], leaf.entries[i+1:]...)
-					return true
-				}
-				if flaggedIdx < 0 {
-					flaggedLeaf, flaggedIdx = leaf, i
-				}
+			if e.RID != rid {
+				continue
+			}
+			if !e.Deleted {
+				t.size--
+				n.entries = slices.Delete(n.entries, i, i+1)
+				return true
+			}
+			if flaggedIdx < 0 {
+				flagged, flaggedIdx = n, i
 			}
 		}
-		leaf = leaf.next
 	}
-	if flaggedIdx >= 0 {
-		flaggedLeaf.entries = append(flaggedLeaf.entries[:flaggedIdx], flaggedLeaf.entries[flaggedIdx+1:]...)
-		return true
+	if flaggedIdx < 0 {
+		return false
 	}
-	return false
+	flagged.entries = slices.Delete(flagged.entries, flaggedIdx, flaggedIdx+1)
+	return true
 }
 
 // DeleteFlagged physically removes the entry with the given key and RID only
@@ -355,20 +358,17 @@ scan:
 func (t *Tree) DeleteFlagged(key storage.Key, rid storage.RID) bool {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	leaf := t.findLeaf(key)
-	for leaf != nil {
-		for i := range leaf.entries {
-			e := &leaf.entries[i]
-			cmp := bytes.Compare(e.Key, key)
-			if cmp > 0 {
+	for n, i := t.seek(key); n != nil; n, i = n.next, 0 {
+		for ; i < len(n.entries); i++ {
+			e := &n.entries[i]
+			if !bytes.Equal(e.Key, key) {
 				return false
 			}
-			if cmp == 0 && e.RID == rid && e.Deleted {
-				leaf.entries = append(leaf.entries[:i], leaf.entries[i+1:]...)
+			if e.RID == rid && e.Deleted {
+				n.entries = slices.Delete(n.entries, i, i+1)
 				return true
 			}
 		}
-		leaf = leaf.next
 	}
 	return false
 }
@@ -384,111 +384,120 @@ func (t *Tree) MarkDeleted(key storage.Key, rid storage.RID, deleted bool) bool 
 	t.latch.Lock()
 	defer t.latch.Unlock()
 	found := false
-	leaf := t.findLeaf(key)
-	for leaf != nil {
-		for i := range leaf.entries {
-			e := &leaf.entries[i]
-			cmp := bytes.Compare(e.Key, key)
-			if cmp > 0 {
+	for n, i := t.seek(key); n != nil; n, i = n.next, 0 {
+		for ; i < len(n.entries); i++ {
+			e := &n.entries[i]
+			if !bytes.Equal(e.Key, key) {
 				return found
 			}
-			if cmp == 0 && e.RID == rid {
-				found = true
-				if e.Deleted != deleted {
-					if deleted {
-						t.size--
-					} else {
-						t.size++
-					}
-					e.Deleted = deleted
-					return true
+			if e.RID != rid {
+				continue
+			}
+			found = true
+			if e.Deleted != deleted {
+				if deleted {
+					t.size--
+				} else {
+					t.size++
 				}
+				e.Deleted = deleted
+				return true
 			}
 		}
-		leaf = leaf.next
 	}
 	return found
 }
 
-// findLeaf descends to the leftmost leaf that may contain key. On equality
-// with a branch key it descends left, because duplicate keys may straddle a
-// split point; readers then walk forward along the leaf chain.
-func (t *Tree) findLeaf(key storage.Key) *node {
+// seek returns the position of the first entry whose key is >= key: a leaf
+// and an index into its entries. The index may equal the leaf's length, in
+// which case the entry (if any) heads a later leaf of the chain; callers walk
+// forward from the position. Descending left on keys equal to a separator
+// makes every leaf before the returned one hold only smaller keys.
+func (t *Tree) seek(key storage.Key) (*node, int) {
 	n := t.root
 	for !n.leaf {
-		i := 0
-		for i < len(n.keys) && bytes.Compare(key, n.keys[i]) > 0 {
-			i++
-		}
-		n = n.children[i]
+		n = n.children[n.childIndex(key, false)]
 	}
-	return n
+	return n, n.entryIndex(key, false)
 }
 
-// insert adds the entry, splitting nodes as needed. Caller holds the write
-// latch.
-func (t *Tree) insert(e Entry) {
-	newChild, splitKey := t.insertInto(t.root, e)
-	if newChild != nil {
-		newRoot := &node{
-			keys:     []storage.Key{splitKey},
-			children: []*node{t.root, newChild},
-		}
-		t.root = newRoot
-	}
-}
-
-// insertInto inserts into the subtree rooted at n. If n splits, it returns the
-// new right sibling and the key separating them.
-func (t *Tree) insertInto(n *node, e Entry) (*node, storage.Key) {
+// insertInto inserts e into the subtree rooted at n, descending right of
+// separators equal to e.Key. straddle records whether a separator left of the
+// path so far equals e.Key, i.e. whether a run of e.Key duplicates may reach
+// into leaves before the one the descent ends at. If n splits, insertInto
+// returns the new right sibling and the key separating them. For a unique
+// tree it returns ErrDuplicateKey, leaving the tree unchanged, if a live
+// entry with e.Key exists. Caller holds the write latch.
+func (t *Tree) insertInto(n *node, e Entry, straddle bool) (*node, storage.Key, error) {
 	if n.leaf {
-		pos := 0
-		for pos < len(n.entries) && bytes.Compare(n.entries[pos].Key, e.Key) <= 0 {
-			pos++
+		pos := n.entryIndex(e.Key, true)
+		if t.unique && liveBefore(n, pos, e.Key, straddle) {
+			return nil, nil, ErrDuplicateKey
 		}
-		n.entries = append(n.entries, Entry{})
-		copy(n.entries[pos+1:], n.entries[pos:])
-		n.entries[pos] = e
+		n.entries = slices.Insert(n.entries, pos, e)
 		if len(n.entries) <= degree {
-			return nil, nil
+			return nil, nil, nil
 		}
-		return t.splitLeaf(n)
+		right, splitKey := splitLeaf(n)
+		return right, splitKey, nil
 	}
-	i := 0
-	for i < len(n.keys) && bytes.Compare(e.Key, n.keys[i]) >= 0 {
-		i++
+	i := n.childIndex(e.Key, true)
+	straddle = straddle || i > 0 && bytes.Equal(n.keys[i-1], e.Key)
+	right, splitKey, err := t.insertInto(n.children[i], e, straddle)
+	if right == nil {
+		return nil, nil, err
 	}
-	newChild, splitKey := t.insertInto(n.children[i], e)
-	if newChild == nil {
-		return nil, nil
-	}
-	n.keys = append(n.keys, nil)
-	copy(n.keys[i+1:], n.keys[i:])
-	n.keys[i] = splitKey
-	n.children = append(n.children, nil)
-	copy(n.children[i+2:], n.children[i+1:])
-	n.children[i+1] = newChild
+	n.keys = slices.Insert(n.keys, i, splitKey)
+	n.children = slices.Insert(n.children, i+1, right)
 	if len(n.keys) <= degree {
-		return nil, nil
+		return nil, nil, nil
 	}
-	return t.splitBranch(n)
+	right, splitKey = splitBranch(n)
+	return right, splitKey, nil
+}
+
+// liveBefore reports whether a live entry with key ends the run of key
+// duplicates that precedes position pos of leaf n. Inserts land after every
+// equal entry, so that run ends at pos; it continues into earlier leaves only
+// when straddle is set, and the walk then follows the leaf chain backwards
+// across the duplicates. A unique tree holds at most one live entry per key,
+// beside flagged relics of deleted records.
+func liveBefore(n *node, pos int, key storage.Key, straddle bool) bool {
+	for {
+		for ; pos > 0; pos-- {
+			e := &n.entries[pos-1]
+			if !bytes.Equal(e.Key, key) {
+				return false
+			}
+			if !e.Deleted {
+				return true
+			}
+		}
+		if !straddle || n.prev == nil {
+			return false
+		}
+		n = n.prev
+		pos = len(n.entries)
+	}
 }
 
 // splitLeaf splits an over-full leaf. Flagged entries are NOT collected here:
 // dropping one would sever an uncommitted delete's rollback path and hide the
 // record's version chain from epoch-pinned snapshots. Physical removal is the
 // pruner's job (DeleteFlagged), once the flagged entry is provably dead.
-func (t *Tree) splitLeaf(n *node) (*node, storage.Key) {
+func splitLeaf(n *node) (*node, storage.Key) {
 	mid := len(n.entries) / 2
-	right := &node{leaf: true}
+	right := &node{leaf: true, prev: n, next: n.next}
 	right.entries = append(right.entries, n.entries[mid:]...)
 	n.entries = n.entries[:mid:mid]
-	right.next = n.next
+	if n.next != nil {
+		n.next.prev = right
+	}
 	n.next = right
 	return right, right.entries[0].Key
 }
 
-func (t *Tree) splitBranch(n *node) (*node, storage.Key) {
+func splitBranch(n *node) (*node, storage.Key) {
 	mid := len(n.keys) / 2
 	splitKey := n.keys[mid]
 	right := &node{}
@@ -499,39 +508,84 @@ func (t *Tree) splitBranch(n *node) (*node, storage.Key) {
 	return right, splitKey
 }
 
-// Validate checks the structural invariants of the tree: leaf keys are sorted,
-// leaves are chained in order, and every branch key separates its subtrees.
-// It is used by tests and returns a descriptive error on violation.
+// Validate checks the structural invariants of the tree: every branch key
+// separates its subtrees (keys in children[i] <= keys[i] <= keys in
+// children[i+1]), all leaves sit at the same depth, no node overflows, the
+// leaves are chained in order in both directions with sorted keys, and Len
+// counts exactly the live entries. It is used by tests and returns a
+// descriptive error on violation.
 func (t *Tree) Validate() error {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
-	var prev storage.Key
-	var prevSet bool
-	count := 0
-	leaf := t.leftmostLeaf()
-	for leaf != nil {
-		for _, e := range leaf.entries {
-			if prevSet && bytes.Compare(prev, e.Key) > 0 {
-				return fmt.Errorf("btree %s: keys out of order: %s after %s", t.name, e.Key, prev)
-			}
-			prev = e.Key
-			prevSet = true
-			if !e.Deleted {
-				count++
-			}
-		}
-		leaf = leaf.next
+	v := validator{name: t.name, leafDepth: -1}
+	if err := v.check(t.root, nil, nil, 0); err != nil {
+		return err
 	}
-	if count != t.size {
-		return fmt.Errorf("btree %s: size %d does not match %d live entries", t.name, t.size, count)
+	if v.prevLeaf.next != nil {
+		return fmt.Errorf("btree %s: last leaf links to a successor", t.name)
+	}
+	if v.live != t.size {
+		return fmt.Errorf("btree %s: size %d does not match %d live entries", t.name, t.size, v.live)
 	}
 	return nil
 }
 
-func (t *Tree) leftmostLeaf() *node {
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
+// validator carries Validate's state through an in-order walk of the tree.
+type validator struct {
+	name      string
+	leafDepth int   // depth of the first leaf reached, -1 before it
+	prevLeaf  *node // leaf visited last
+	prevKey   storage.Key
+	live      int
+}
+
+// check validates the subtree rooted at n, whose keys must lie within
+// [lo, hi]; a nil bound is open.
+func (v *validator) check(n *node, lo, hi storage.Key, depth int) error {
+	if !n.leaf {
+		if len(n.children) != len(n.keys)+1 || len(n.keys) > degree {
+			return fmt.Errorf("btree %s: branch with %d keys and %d children", v.name, len(n.keys), len(n.children))
+		}
+		for i, c := range n.children {
+			clo, chi := lo, hi
+			if i > 0 {
+				clo = n.keys[i-1]
+			}
+			if i < len(n.keys) {
+				chi = n.keys[i]
+			}
+			if clo != nil && chi != nil && bytes.Compare(clo, chi) > 0 {
+				return fmt.Errorf("btree %s: branch keys out of order: %s before %s", v.name, clo, chi)
+			}
+			if err := v.check(c, clo, chi, depth+1); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return n
+	if v.leafDepth < 0 {
+		v.leafDepth = depth
+	} else if depth != v.leafDepth {
+		return fmt.Errorf("btree %s: leaves at depths %d and %d", v.name, v.leafDepth, depth)
+	}
+	if len(n.entries) > degree {
+		return fmt.Errorf("btree %s: leaf with %d entries", v.name, len(n.entries))
+	}
+	if n.prev != v.prevLeaf || v.prevLeaf != nil && v.prevLeaf.next != n {
+		return fmt.Errorf("btree %s: leaf chain out of tree order", v.name)
+	}
+	v.prevLeaf = n
+	for _, e := range n.entries {
+		if lo != nil && bytes.Compare(e.Key, lo) < 0 || hi != nil && bytes.Compare(e.Key, hi) > 0 {
+			return fmt.Errorf("btree %s: key %s outside its separators [%s, %s]", v.name, e.Key, lo, hi)
+		}
+		if v.prevKey != nil && bytes.Compare(v.prevKey, e.Key) > 0 {
+			return fmt.Errorf("btree %s: keys out of order: %s after %s", v.name, e.Key, v.prevKey)
+		}
+		v.prevKey = e.Key
+		if !e.Deleted {
+			v.live++
+		}
+	}
+	return nil
 }

@@ -138,14 +138,17 @@ func (t *Table) secondary(index string) (*secondaryIndex, error) {
 }
 
 // insertIndexEntries adds the tuple to the primary and all secondary indexes.
+// The entries share one routing-key slice; no index entry's key is ever
+// modified in place.
 func (t *Table) insertIndexEntries(tuple storage.Tuple, rid storage.RID) error {
 	pk := t.PrimaryKey(tuple)
-	if err := t.primary.Insert(btree.Entry{Key: pk, RID: rid, Routing: t.RoutingKey(tuple)}); err != nil {
+	routing := t.RoutingKey(tuple)
+	if err := t.primary.Insert(btree.Entry{Key: pk, RID: rid, Routing: routing}); err != nil {
 		return ErrDuplicateKey
 	}
 	for _, si := range t.secondaries {
 		key := storage.EncodeKey(tuple.Project(si.keyCols)...)
-		entry := btree.Entry{Key: key, RID: rid, Routing: t.RoutingKey(tuple)}
+		entry := btree.Entry{Key: key, RID: rid, Routing: routing}
 		if err := si.tree.Insert(entry); err != nil {
 			// Undo the primary entry to keep indexes consistent.
 			t.primary.Delete(pk, rid)
