@@ -549,69 +549,6 @@ func BenchmarkTM1Throughput(b *testing.B) {
 	}
 }
 
-// BenchmarkSecondaryPhase is the intra-transaction-parallelism A/B on the
-// secondary-heavy skewed mix: every Payment/OrderStatus selects the customer
-// by last name (a secondary resolve-then-forward action), warehouses are
-// drawn zipfian so one warehouse is hot, and Delivery fans ten per-district
-// probes into its second phase. Serial forces the secondaries onto the RVP
-// threads (the old behavior); Parallel dispatches them to the resolver pool.
-// Lower ns/op and a lower critpath_us mean the secondaries left the critical
-// path. Run with ≥4 concurrent clients via SetParallelism.
-func BenchmarkSecondaryPhase(b *testing.B) {
-	mix := workload.Mix{
-		{Name: tpcc.NewOrder, Weight: 20},
-		{Name: tpcc.Payment, Weight: 35},
-		{Name: tpcc.OrderStatus, Weight: 35},
-		{Name: tpcc.Delivery, Weight: 10},
-	}
-	for _, mode := range []struct {
-		name   string
-		serial bool
-	}{
-		{"Serial", true},
-		{"Parallel", false},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			w := tpcc.New(4)
-			w.CustomersPerDistrict = 60
-			w.Items = 200
-			w.ByNamePercent = 100
-			w.WarehouseZipfTheta = workload.ZipfianTheta
-			env, err := harness.Setup(w, 4, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer env.Close()
-			if err := env.RebindDORA(dora.SystemConfig{SerialSecondaries: mode.serial}, 4); err != nil {
-				b.Fatal(err)
-			}
-			col := metrics.NewCollector()
-			env.Engine.SetCollector(col)
-			defer env.Engine.SetCollector(nil)
-			var seed atomic.Int64
-			b.SetParallelism(8) // >= 4 concurrent closed-loop clients
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := rand.New(rand.NewSource(seed.Add(1) * 104729))
-				for pb.Next() {
-					kind := mix.Pick(rng)
-					if err := env.Driver.RunDORA(env.DORA, kind, rng, 0); err != nil && !isAbort(err) {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(col.CriticalPath().Mean(), "critpath_us")
-			b.ReportMetric(col.RVPThreadTime().Mean(), "rvpthread_us")
-			st := env.DORA.Stats()
-			if n := float64(b.N); n > 0 {
-				b.ReportMetric(float64(st.SecondariesParallel+st.SecondariesInline)/n, "secondaries/txn")
-				b.ReportMetric(float64(st.ActionsForwarded)/n, "forwarded/txn")
-			}
-		})
-	}
-}
-
 // BenchmarkTxnStartAllocs measures allocations on the transaction start hot
 // path (rvp slice, participants map, shared map — all pooled), using a
 // two-phase flow that exercises every pooled structure.
@@ -648,47 +585,6 @@ func BenchmarkAblation_CentralVsLocal(b *testing.B) {
 	env := benchTM1(b)
 	b.Run("Centralized", func(b *testing.B) { runTxns(b, env, harness.Baseline, tm1.UpdateLocation) })
 	b.Run("ThreadLocal", func(b *testing.B) { runTxns(b, env, harness.DORA, tm1.UpdateLocation) })
-}
-
-// BenchmarkAblation_OrderedSubmission measures the cost of the §4.2.3
-// deadlock-avoidance mechanism (latching all target queues in order during
-// phase submission) against unordered submission.
-func BenchmarkAblation_OrderedSubmission(b *testing.B) {
-	for _, disabled := range []bool{false, true} {
-		name := "Ordered"
-		if disabled {
-			name = "Unordered"
-		}
-		b.Run(name, func(b *testing.B) {
-			w := tpcb.New(4)
-			w.AccountsPerBranch = 50
-			env, err := harness.Setup(w, 4, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer env.Close()
-			// Rebuild the DORA system with the ablation flag.
-			env.DORA.Stop()
-			sys := newSystemWithOrdering(env, disabled)
-			rng := rand.New(rand.NewSource(1))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := env.Driver.RunDORA(sys, tpcb.AccountUpdate, rng, 0); err != nil && !isAbort(err) {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			sys.Stop()
-		})
-	}
-}
-
-func newSystemWithOrdering(env *harness.Bench, disableOrdered bool) *dora.System {
-	sys := dora.NewSystem(env.Engine, dora.SystemConfig{DisableOrderedSubmission: disableOrdered})
-	if err := env.Driver.BindDORA(sys, 4); err != nil {
-		panic(err)
-	}
-	return sys
 }
 
 // BenchmarkAblation_ExecutorCount sweeps the number of executors per table.

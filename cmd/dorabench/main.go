@@ -12,17 +12,14 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
-	"dora/internal/dora"
 	"dora/internal/engine"
 	"dora/internal/harness"
 	"dora/internal/metrics"
@@ -44,38 +41,11 @@ type options struct {
 	executors   int
 	txns        int
 	seed        int64
-
-	skewWarehouses int64
-	skewWindows    int
-	skewWindow     time.Duration
-	skewWorkers    int
-	skewJSON       string
-
-	durabilityJSON  string
-	logdir          string
-	crashChild      bool
-	crashCommits    uint64
-	crashTimeout    time.Duration
-	crashCheckpoint time.Duration
-	crashJSON       string
-
-	htapScanners int
-	htapWorkers  int
-	htapRounds   int
-	htapWindow   time.Duration
-	htapPause    time.Duration
-	htapJSON     string
-	htapTPSGate  bool
-
-	overloadRate     int
-	overloadDuration time.Duration
-	overloadInflight int
-	overloadJSON     string
 }
 
 func main() {
 	var opt options
-	flag.StringVar(&opt.fig, "fig", "all", "figure to regenerate: 1a,1b,1c,2,3,4,5,6,7,8,10,11,secondary,skew,durability,crash,htap,overload,check or 'all'")
+	flag.StringVar(&opt.fig, "fig", "all", "figure to regenerate: 1a,1b,1c,2,3,4,5,6,7,8,10,11 or 'all'")
 	flag.IntVar(&opt.contexts, "contexts", 64, "simulated hardware contexts")
 	flag.DurationVar(&opt.quantum, "quantum", 10*time.Millisecond, "simulated OS scheduling quantum")
 	flag.DurationVar(&opt.simDuration, "sim-duration", 300*time.Millisecond, "simulated time per load point")
@@ -85,48 +55,15 @@ func main() {
 	flag.IntVar(&opt.executors, "executors", 4, "DORA executors per table (real engine)")
 	flag.IntVar(&opt.txns, "txns", 2000, "transactions per real-engine measurement")
 	flag.Int64Var(&opt.seed, "seed", 1, "random seed")
-	flag.Int64Var(&opt.skewWarehouses, "skew-warehouses", 16, "TPC-C warehouses for the skew benchmark")
-	flag.IntVar(&opt.skewWindows, "skew-windows", 10, "measurement windows for the skew benchmark (hot set shifts at the midpoint)")
-	flag.DurationVar(&opt.skewWindow, "skew-window", 400*time.Millisecond, "duration of one skew-benchmark window")
-	flag.IntVar(&opt.skewWorkers, "skew-workers", 8, "closed-loop clients for the skew benchmark")
-	flag.StringVar(&opt.skewJSON, "skew-json", "", "write the skew-benchmark summary to this JSON file")
-	flag.StringVar(&opt.durabilityJSON, "durability-json", "", "write the durability-benchmark summary to this JSON file")
-	flag.StringVar(&opt.logdir, "logdir", "", "WAL directory for the crash-restart child process")
-	flag.BoolVar(&opt.crashChild, "crash-child", false, "internal: run as the crash-restart child (load a durable TPC-C engine in -logdir and run the mix until killed)")
-	flag.Uint64Var(&opt.crashCommits, "crash-commits", 300, "commits the crash-restart child must report before the parent SIGKILLs it")
-	flag.DurationVar(&opt.crashTimeout, "crash-timeout", 120*time.Second, "how long the crash-restart parent waits for the child to reach -crash-commits")
-	flag.DurationVar(&opt.crashCheckpoint, "crash-checkpoint", 0, "background fuzzy-checkpoint cadence for the crash-restart child (0 disables checkpointing)")
-	flag.StringVar(&opt.crashJSON, "crash-json", "", "write the recovery-time-vs-log-length sweep to this JSON file")
-	flag.IntVar(&opt.htapScanners, "htap-scanners", 2, "concurrent analytical scanners for the HTAP benchmark")
-	flag.IntVar(&opt.htapWorkers, "htap-workers", 4, "closed-loop OLTP clients for the HTAP benchmark")
-	flag.IntVar(&opt.htapRounds, "htap-rounds", 7, "interleaved measurement windows per HTAP arm (median taken)")
-	flag.DurationVar(&opt.htapWindow, "htap-window", 500*time.Millisecond, "duration of one HTAP measurement window")
-	flag.DurationVar(&opt.htapPause, "htap-pause", 400*time.Millisecond, "interval between HTAP scan-pass starts per scanner (a dashboard-style refresh cadence)")
-	flag.StringVar(&opt.htapJSON, "htap-json", "", "write the HTAP-benchmark summary to this JSON file")
-	flag.BoolVar(&opt.htapTPSGate, "htap-tps-gate", true, "gate the HTAP benchmark on throughput degradation bounds (disable on noisy/CI hosts)")
-	flag.IntVar(&opt.overloadRate, "overload-rate", 0, "open-loop arrival rate per second for the overload benchmark (0 calibrates to 3x measured capacity)")
-	flag.DurationVar(&opt.overloadDuration, "overload-duration", 1500*time.Millisecond, "duration of one overload/chaos measurement window")
-	flag.IntVar(&opt.overloadInflight, "overload-inflight", 32, "admission-control credit pool for the overload benchmark's on arm")
-	flag.StringVar(&opt.overloadJSON, "overload-json", "", "write the overload/chaos-benchmark summary to this JSON file")
 	flag.Parse()
-
-	if opt.crashChild {
-		if err := runCrashChild(opt); err != nil {
-			fmt.Fprintf(os.Stderr, "crash child: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	figs := map[string]func(options) error{
 		"1a": fig1a, "1b": fig1bc, "1c": fig1bc, "2": fig2, "3": fig3,
 		"4": fig4, "5": fig5, "6": fig6, "7": fig7, "8": fig8,
-		"10": fig10, "11": fig11, "secondary": figSecondary, "check": figCheck,
-		"skew": figSkew, "durability": figDurability, "crash": figCrash,
-		"htap": figHTAP, "overload": figOverload,
+		"10": fig10, "11": fig11,
 	}
 	if opt.fig == "all" {
-		order := []string{"1a", "1b", "2", "3", "4", "5", "6", "7", "8", "10", "11", "secondary", "skew", "durability", "htap", "overload", "check"}
+		order := []string{"1a", "1b", "2", "3", "4", "5", "6", "7", "8", "10", "11"}
 		for _, f := range order {
 			if err := figs[f](opt); err != nil {
 				fmt.Fprintf(os.Stderr, "figure %s: %v\n", f, err)
@@ -248,7 +185,8 @@ func fig3(o options) error {
 	}
 	defer env.Close()
 	// Performance figures skip the per-run invariant scan (it grows with the
-	// accumulated history); `-fig check` is the correctness gate.
+	// accumulated history); the tpcc and harness tests are the correctness
+	// gate.
 	res := env.Run(harness.Config{System: harness.Baseline, Workers: 4, TxnsPerWorker: o.txns / 4, Seed: o.seed, SkipCheck: true})
 	fmt.Printf("acquire=%.1f%% acquire_cont=%.1f%% release=%.1f%% release_cont=%.1f%% other=%.1f%%\n",
 		res.LockMgr.Acquire*100, res.LockMgr.AcquireContention*100,
@@ -485,304 +423,6 @@ func fig11(o options) error {
 	return nil
 }
 
-// figSecondary is the intra-transaction-parallelism A/B: the same
-// secondary-heavy TPC-C mix (every Payment/OrderStatus selects the customer
-// by last name, warehouses drawn zipfian so one warehouse is hot) run with
-// secondary actions forced serial on the RVP threads versus dispatched to
-// the resolver pool, across worker counts. Besides throughput it reports the
-// per-transaction critical-path and RVP-thread-time histogram means — the
-// quantities the parallel path is designed to shrink.
-func figSecondary(o options) error {
-	header("Secondary actions — serial (RVP-thread) vs parallel (resolver pool), skewed by-name mix")
-	fmt.Println("mode,workers,tps,mean_us,p95_us,critpath_mean_us,rvpthread_mean_us,secondaries,forwarded")
-	mix := workload.Mix{
-		{Name: tpcc.NewOrder, Weight: 20},
-		{Name: tpcc.Payment, Weight: 35},
-		{Name: tpcc.OrderStatus, Weight: 35},
-		{Name: tpcc.Delivery, Weight: 10},
-	}
-	for _, serial := range []bool{true, false} {
-		mode := "serial"
-		if !serial {
-			mode = "parallel"
-		}
-		d := newTPCC(o)
-		d.ByNamePercent = 100
-		d.WarehouseZipfTheta = workload.ZipfianTheta
-		env, err := harness.Setup(d, o.executors, o.seed)
-		if err != nil {
-			return err
-		}
-		if err := env.RebindDORA(dora.Config{SerialSecondaries: serial}, o.executors); err != nil {
-			env.Close()
-			return err
-		}
-		for _, w := range []int{1, 2, 4, 8} {
-			// System counters are cumulative; report per-run deltas.
-			before := env.DORA.Stats()
-			res := env.Run(harness.Config{System: harness.DORA, Workers: w,
-				TxnsPerWorker: o.txns / (4 * w), Mix: mix, Seed: o.seed, SkipCheck: true})
-			if res.Errors > 0 {
-				env.Close()
-				return fmt.Errorf("secondary A/B (%s, %d workers): %d hard errors", mode, w, res.Errors)
-			}
-			st := env.DORA.Stats()
-			secondaries := st.SecondariesParallel + st.SecondariesInline -
-				before.SecondariesParallel - before.SecondariesInline
-			fmt.Printf("%s,%d,%.0f,%.0f,%.0f,%.0f,%.0f,%d,%d\n",
-				mode, w, res.Throughput,
-				float64(res.MeanLatency.Microseconds()), float64(res.P95Latency.Microseconds()),
-				res.CriticalPath.Mean(), res.RVPThreadTime.Mean(),
-				secondaries, st.ActionsForwarded-before.ActionsForwarded)
-		}
-		// One invariant scan per mode over everything the sweep committed:
-		// a fast-but-wrong parallel path must fail the figure, not pass it.
-		if err := env.Driver.Check(env.Engine); err != nil {
-			env.Close()
-			return fmt.Errorf("secondary A/B (%s): invariants violated: %w", mode, err)
-		}
-		env.Close()
-	}
-	return nil
-}
-
-// figCheck runs the full five-transaction TPC-C mix (45/43/4/4/4) end to end
-// on both execution systems and gates on the consistency-invariant checker:
-// any violated invariant fails the command. It is the correctness baseline
-// the performance figures rest on.
-func figCheck(o options) error {
-	header("Consistency check — TPC-C five-transaction mix, both systems")
-	fmt.Println("system,committed,aborted,errors,tps,invariants")
-	env, err := harness.Setup(newTPCC(o), o.executors, o.seed)
-	if err != nil {
-		return err
-	}
-	defer env.Close()
-	for _, sys := range []harness.SystemKind{harness.Baseline, harness.DORA} {
-		res := env.Run(harness.Config{System: sys, Workers: 4, TxnsPerWorker: o.txns / 4, Seed: o.seed})
-		verdict := "ok"
-		if !res.Valid() {
-			verdict = res.InvariantErr.Error()
-		}
-		fmt.Printf("%s,%d,%d,%d,%.0f,%s\n",
-			sys, res.Committed, res.Aborted, res.Errors, res.Throughput, verdict)
-		if !res.Valid() {
-			return fmt.Errorf("%s run violated invariants: %w", sys, res.InvariantErr)
-		}
-		if res.Committed == 0 {
-			return fmt.Errorf("%s run committed nothing", sys)
-		}
-	}
-	return nil
-}
-
-// skewPhase labels one window of the skew benchmark relative to the hot-set
-// shift.
-func skewPhase(window, shiftAt int) string {
-	switch {
-	case window < shiftAt:
-		return "pre"
-	case window < shiftAt+2:
-		return "during"
-	default:
-		return "post"
-	}
-}
-
-// skewModeResult summarizes one balancer setting of the skew benchmark.
-type skewModeResult struct {
-	PreTPS    float64 `json:"pre_tps"`
-	DuringTPS float64 `json:"during_tps"`
-	PostTPS   float64 `json:"post_tps"`
-	Recovery  float64 `json:"recovery"` // post / pre
-	Moves     uint64  `json:"moves"`
-	// PreImbalance / PostImbalance are the mean balancer imbalance scores
-	// (max/mean per-executor load) before the shift and in the post windows —
-	// the hardware-independent view of the rebalancing: on a single-CPU host
-	// a hot executor cannot drag throughput down (every executor shares the
-	// one core), but the load-imbalance recovery is visible on any host.
-	PreImbalance  float64 `json:"pre_imbalance"`
-	PostImbalance float64 `json:"post_imbalance"`
-}
-
-// figSkew is the adaptive-partitioning benchmark: a TPC-C run whose hot
-// warehouses (25% of the key space drawing 90% of the traffic) relocate at
-// t/2, measured with the rebalancing control loop on versus off. Both modes
-// first warm up with the balancer running until the routing rule matches the
-// initial hot set (the "pre-shift balanced level"); the off mode then stops
-// the control loop, so the shift leaves it permanently degraded while the on
-// mode detects the skew and moves the boundaries back under the load. A
-// uniform control run checks the balancer's hysteresis: without skew it may
-// make at most one spurious boundary move. The figure gates on invariants,
-// hard errors, and the spurious-move bound — never on throughput.
-func figSkew(o options) error {
-	header("Skew — hot TPC-C warehouses shift at t/2: balancer on vs off")
-	if o.skewWindows < 6 {
-		return fmt.Errorf("skew: need at least 6 windows (2 during + post-shift ones after the midpoint), got %d", o.skewWindows)
-	}
-	// The schedule fires once progress i/n reaches 0.5, i.e. before window
-	// ceil(n/2) — the phase labels must use the same midpoint.
-	shiftAt := (o.skewWindows + 1) / 2
-	balancerCfg := &dora.BalancerConfig{
-		Interval:  20 * time.Millisecond,
-		Threshold: 1.4,
-		Alpha:     0.4,
-		Cooldown:  2,
-	}
-	newSkewEnv := func(hotspot *workload.Hotspot) (*harness.Bench, error) {
-		d := tpcc.New(o.skewWarehouses)
-		d.CustomersPerDistrict = 30
-		d.Items = 100
-		d.WarehouseHotspot = hotspot
-		env, err := harness.Setup(d, o.executors, o.seed)
-		if err != nil {
-			return nil, err
-		}
-		if err := env.RebindDORA(dora.Config{Balancer: balancerCfg}, o.executors); err != nil {
-			env.Close()
-			return nil, err
-		}
-		return env, nil
-	}
-	window := func(env *harness.Bench) harness.Result {
-		return env.Run(harness.Config{System: harness.DORA, Workers: o.skewWorkers,
-			Duration: o.skewWindow, Seed: o.seed, SkipCheck: true})
-	}
-	// Warm up until the balancer has matched the routing rule to the current
-	// load (a window with no moves), so both modes measure from the same
-	// balanced pre-shift state.
-	warmup := func(env *harness.Bench) error {
-		for i := 0; i < 6; i++ {
-			res := window(env)
-			if res.Errors > 0 {
-				return fmt.Errorf("skew warmup: %d hard errors", res.Errors)
-			}
-			if res.BoundaryMoves == 0 {
-				return nil
-			}
-		}
-		return nil // still settling; measurement proceeds from here
-	}
-
-	fmt.Println("mode,window,phase,tps,moves,imbalance")
-	modes := make(map[string]skewModeResult, 2)
-	for _, balancerOn := range []bool{false, true} {
-		mode := "off"
-		if balancerOn {
-			mode = "on"
-		}
-		hotspot := workload.NewHotspot(o.skewWarehouses, 0.25, 0.9)
-		hotspot.ShiftAt(0.5, 3*o.skewWarehouses/4)
-		env, err := newSkewEnv(hotspot)
-		if err != nil {
-			return err
-		}
-		if err := warmup(env); err != nil {
-			env.Close()
-			return err
-		}
-		if !balancerOn {
-			// Observe-only: the loop keeps publishing the imbalance gauge but
-			// no longer reacts, so both arms report comparable telemetry.
-			env.DORA.Balancer().SetDryRun(true)
-		}
-		var sum skewModeResult
-		var preN, duringN, postN int
-		for i := 0; i < o.skewWindows; i++ {
-			hotspot.Advance(float64(i) / float64(o.skewWindows))
-			res := window(env)
-			if res.Errors > 0 {
-				env.Close()
-				return fmt.Errorf("skew (%s, window %d): %d hard errors", mode, i, res.Errors)
-			}
-			phase := skewPhase(i, shiftAt)
-			fmt.Printf("%s,%d,%s,%.0f,%d,%.2f\n", mode, i, phase, res.Throughput, res.BoundaryMoves, res.Imbalance)
-			sum.Moves += res.BoundaryMoves
-			switch phase {
-			case "pre":
-				sum.PreTPS += res.Throughput
-				sum.PreImbalance += res.Imbalance
-				preN++
-			case "during":
-				sum.DuringTPS += res.Throughput
-				duringN++
-			default:
-				sum.PostTPS += res.Throughput
-				sum.PostImbalance += res.Imbalance
-				postN++
-			}
-		}
-		if err := env.Driver.Check(env.Engine); err != nil {
-			env.Close()
-			return fmt.Errorf("skew (%s): invariants violated: %w", mode, err)
-		}
-		env.Close()
-		if preN > 0 {
-			sum.PreTPS /= float64(preN)
-			sum.PreImbalance /= float64(preN)
-		}
-		if duringN > 0 {
-			sum.DuringTPS /= float64(duringN)
-		}
-		if postN > 0 {
-			sum.PostTPS /= float64(postN)
-			sum.PostImbalance /= float64(postN)
-		}
-		if sum.PreTPS > 0 {
-			sum.Recovery = sum.PostTPS / sum.PreTPS
-		}
-		modes[mode] = sum
-		fmt.Printf("# %s: pre=%.0f during=%.0f post=%.0f tps, recovery=%.2f, moves=%d, imbalance pre=%.2f post=%.2f\n",
-			mode, sum.PreTPS, sum.DuringTPS, sum.PostTPS, sum.Recovery, sum.Moves,
-			sum.PreImbalance, sum.PostImbalance)
-	}
-	fmt.Println("# note: on a single-CPU host a hot executor cannot drag throughput down (all")
-	fmt.Println("# executors share the one core), so the load-imbalance recovery above is the")
-	fmt.Println("# hardware-independent signal; on multicore the balancer-off arm's post-shift")
-	fmt.Println("# throughput stays degraded while the balancer-on arm recovers.")
-
-	// Hysteresis control: a uniform run must not provoke rebalancing.
-	uniformEnv, err := newSkewEnv(nil)
-	if err != nil {
-		return err
-	}
-	var uniformMoves uint64
-	for i := 0; i < 4; i++ {
-		res := window(uniformEnv)
-		if res.Errors > 0 {
-			uniformEnv.Close()
-			return fmt.Errorf("skew uniform control: %d hard errors", res.Errors)
-		}
-		uniformMoves += res.BoundaryMoves
-	}
-	uniformEnv.Close()
-	fmt.Printf("# uniform control: %d spurious boundary moves (allowed: at most 1)\n", uniformMoves)
-	if uniformMoves > 1 {
-		return fmt.Errorf("skew: balancer made %d spurious moves on a uniform load", uniformMoves)
-	}
-
-	if o.skewJSON != "" {
-		out := struct {
-			Warehouses int64                     `json:"warehouses"`
-			Executors  int                       `json:"executors"`
-			Windows    int                       `json:"windows"`
-			Window     string                    `json:"window"`
-			Workers    int                       `json:"workers"`
-			Uniform    uint64                    `json:"uniform_spurious_moves"`
-			Modes      map[string]skewModeResult `json:"balancer"`
-		}{o.skewWarehouses, o.executors, o.skewWindows, o.skewWindow.String(), o.skewWorkers, uniformMoves, modes}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.skewJSON, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("# wrote %s\n", o.skewJSON)
-	}
-	return nil
-}
-
 func newTPCB(o options) *tpcb.Driver {
 	d := tpcb.New(o.branches)
 	return d
@@ -794,5 +434,3 @@ func newTPCC(o options) *tpcc.Driver {
 	d.Items = 200
 	return d
 }
-
-var _ = strings.TrimSpace // keep strings imported for future formatting needs

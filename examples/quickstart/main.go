@@ -6,7 +6,8 @@
 // With -logdir the engine journals everything into a durable segmented WAL:
 // the program opens the directory, runs, closes, then reopens it through
 // restart recovery and shows the state intact — the same path that brings a
-// database back after a crash (SIGKILL included; see dorabench -fig crash).
+// database back after a crash (SIGKILL included; see TestSIGKILLCrashRestart
+// in internal/workload/tpcc).
 package main
 
 import (

@@ -53,14 +53,14 @@ type Scope struct {
 	// join this phase's RVP.
 	phase int
 	// worker attributes engine accesses (time, lock stats, traces) to the
-	// executing thread: the executor's global ordinal for routed actions, the
-	// resolver's worker id for pooled secondary actions, and -1 only for
-	// secondaries executed inline on an anonymous RVP thread.
+	// executing thread: the executor's global ordinal for routed actions and
+	// for secondaries run on an executor's RVP thread, and -1 for secondaries
+	// run by the dispatcher.
 	worker int
 }
 
 // Executor returns the executor running the action, or nil for secondary
-// actions executed by a resolver or the RVP thread.
+// actions, which run on the RVP thread.
 func (s *Scope) Executor() *Executor { return s.executor }
 
 func (s *Scope) workerID() int { return s.worker }

@@ -3,7 +3,6 @@ package dora
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -21,10 +20,6 @@ type Balancer struct {
 	cfg BalancerConfig
 	// now is the clock, injectable for tests (event timestamps).
 	now func() time.Time
-
-	// dryRun puts the loop in observe-only mode: it keeps folding load
-	// reports and publishing the imbalance gauge but issues no moves.
-	dryRun atomic.Bool
 
 	mu     sync.Mutex
 	states map[string]*tableState
@@ -117,12 +112,6 @@ func (b *Balancer) start() {
 	go b.run()
 }
 
-// SetDryRun toggles observe-only mode: the control loop keeps scoring the
-// load and publishing the imbalance gauge, but stops issuing boundary moves.
-// The skew benchmark's balancer-off arm uses it so both arms report the same
-// telemetry.
-func (b *Balancer) SetDryRun(v bool) { b.dryRun.Store(v) }
-
 // Stop terminates the control loop and waits for it to exit. It is safe to
 // call more than once and leaves the installed routing rules in place.
 func (b *Balancer) Stop() {
@@ -160,18 +149,6 @@ func (b *Balancer) EventCount() int {
 	return len(b.events)
 }
 
-// EventsSince returns the events recorded after the first n.
-func (b *Balancer) EventsSince(n int) []RebalanceEvent {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if n < 0 || n > len(b.events) {
-		n = len(b.events)
-	}
-	out := make([]RebalanceEvent, len(b.events)-n)
-	copy(out, b.events[n:])
-	return out
-}
-
 // Tick runs one evaluation pass over every bound table: fold the histogram
 // deltas into the decayed view, score the imbalance, and apply at most one
 // boundary move per table. It is the unit the ticker drives and the entry
@@ -202,9 +179,6 @@ func (b *Balancer) Tick() {
 		move, imbalance := planMove(st.ewma, boundsBk, b.cfg)
 		if imbalance > maxImbalance {
 			maxImbalance = imbalance
-		}
-		if b.dryRun.Load() {
-			continue
 		}
 		if st.cooldown > 0 {
 			st.cooldown--

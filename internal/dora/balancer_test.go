@@ -1,6 +1,9 @@
 package dora
 
 import (
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,7 +80,7 @@ func TestPlanMoveConverges(t *testing.T) {
 		maxMoves int
 	}{
 		{
-			// The skew benchmark's shape: 16 warehouses, the last 4 hot with
+			// A hot-warehouse TPC-C shape: 16 warehouses, the last 4 hot with
 			// 90% of the traffic, one bucket per warehouse.
 			name: "hot tail quarter",
 			ewma: []float64{
@@ -283,5 +286,58 @@ func TestBalancerLiveRebalancesSkew(t *testing.T) {
 	}
 	if sys.Stats().PartitionVersion == 0 {
 		t.Fatal("partition version not bumped")
+	}
+}
+
+// TestBalancerLiveHoldsUnderUniformLoad is the hysteresis control for the
+// live loop: two clients update uniformly random accounts for four 150 ms
+// windows while the balancer ticks every 20 ms. Without skew it may make at
+// most one spurious boundary move.
+func TestBalancerLiveHoldsUnderUniformLoad(t *testing.T) {
+	e := newBankEngine(t)
+	sys := NewSystem(e, Config{
+		TxnTimeout: 5 * time.Second,
+		Balancer:   &BalancerConfig{Interval: 20 * time.Millisecond, Threshold: 1.4, Alpha: 0.4, Cooldown: 2},
+	})
+	defer sys.Stop()
+	if err := sys.BindTableInts("accounts", 0, 99, 4); err != nil {
+		t.Fatal(err)
+	}
+	loadAccounts(t, e, 100, 1, 0)
+
+	const windows, window = 4, 150 * time.Millisecond
+	stop := time.Now().Add(windows * window)
+	var committed atomic.Int64
+	var wg sync.WaitGroup
+	for c := int64(0); c < 2; c++ {
+		wg.Add(1)
+		go func(c int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(c + 1))
+			for time.Now().Before(stop) {
+				acct := rng.Int63n(100)
+				tx := sys.NewTransaction()
+				tx.Add(0, &Action{Table: "accounts", Key: key(acct), Mode: Exclusive,
+					Work: func(s *Scope) error {
+						return s.Update("accounts", accountPK(acct, 0), func(tu storage.Tuple) (storage.Tuple, error) {
+							tu[3] = storage.FloatValue(tu[3].Float + 1)
+							return tu, nil
+						})
+					}})
+				if err := tx.Run(); err != nil {
+					t.Errorf("txn under uniform load: %v", err)
+					return
+				}
+				committed.Add(1)
+			}
+		}(c)
+	}
+	wg.Wait()
+	sys.Balancer().Stop()
+	if committed.Load() == 0 {
+		t.Fatal("nothing committed")
+	}
+	if moves := sys.Stats().BoundaryMoves; moves > 1 {
+		t.Fatalf("balancer made %d boundary moves on a uniform load (%d txns), want at most 1", moves, committed.Load())
 	}
 }

@@ -81,20 +81,6 @@ type Config struct {
 	// local lock longer than this (the cross-executor deadlock backstop).
 	// Zero uses DefaultLockWaitTimeout.
 	LockWaitTimeout time.Duration
-	// DisableOrderedSubmission turns off the deadlock-avoidance mechanism of
-	// §4.2.3 (latching all target incoming queues in a strict executor order
-	// so a phase's submission appears atomic). It exists only for the
-	// ablation study; production use keeps it false.
-	DisableOrderedSubmission bool
-	// SerialSecondaries forces every secondary action to execute inline on
-	// the thread that zeroes the previous phase's RVP (the dispatcher for
-	// phase 0) instead of the resolver pool — the pre-parallelism behavior,
-	// kept for A/B comparison of the secondary critical path.
-	SerialSecondaries bool
-	// SecondaryWorkers is the size of the resolver pool that executes
-	// secondary actions in parallel. Zero uses DefaultSecondaryWorkers; it is
-	// ignored when SerialSecondaries is set.
-	SecondaryWorkers int
 	// Balancer, when non-nil, starts the online rebalancing control loop with
 	// the given configuration (zero-value fields select the defaults): the
 	// partition manager then moves routing boundaries automatically when the
@@ -124,11 +110,6 @@ const DefaultTxnTimeout = 10 * time.Second
 // routing-boundary moves re-homing a key between a transaction's phases.
 const DefaultLockWaitTimeout = time.Second
 
-// DefaultSecondaryWorkers is the default resolver-pool size. Secondary
-// actions are index lookups and read probes, so a small pool keeps them off
-// the RVP critical path without oversubscribing the executors' cores.
-const DefaultSecondaryWorkers = 4
-
 // System is a DORA execution engine layered over a storage engine.
 type System struct {
 	eng *engine.Engine
@@ -138,12 +119,10 @@ type System struct {
 	nextExec int // global executor ordinal (guarded by pm.mu), defines the submission order
 
 	pm        *PartitionManager
-	resolvers *resolverPool
 	admission *admissionController // nil when admission control is off
 
-	statSecondaryParallel atomic.Uint64 // secondary actions run on the resolver pool
-	statSecondaryInline   atomic.Uint64 // secondary actions run on the RVP thread
-	statForwarded         atomic.Uint64 // primary actions forwarded by secondaries
+	statSecondaryInline atomic.Uint64 // secondary actions run on the RVP thread
+	statForwarded       atomic.Uint64 // primary actions forwarded by secondaries
 }
 
 // NewSystem creates a DORA system over the given storage engine. Tables must
@@ -156,9 +135,6 @@ func NewSystem(eng *engine.Engine, cfg Config) *System {
 	if cfg.LockWaitTimeout <= 0 {
 		cfg.LockWaitTimeout = DefaultLockWaitTimeout
 	}
-	if cfg.SecondaryWorkers <= 0 {
-		cfg.SecondaryWorkers = DefaultSecondaryWorkers
-	}
 	s := &System{
 		eng: eng,
 		cfg: cfg,
@@ -167,9 +143,6 @@ func NewSystem(eng *engine.Engine, cfg Config) *System {
 	if cfg.Balancer != nil {
 		s.pm.balancer = newBalancer(s.pm, *cfg.Balancer)
 		s.pm.balancer.start()
-	}
-	if !cfg.SerialSecondaries {
-		s.resolvers = newResolverPool(s, cfg.SecondaryWorkers)
 	}
 	if cfg.Admission != nil {
 		s.admission = newAdmissionController(s, *cfg.Admission)
@@ -286,11 +259,6 @@ func (s *System) Stop() {
 			ex.stop()
 		}
 	}
-	if s.resolvers != nil {
-		// After the pool stops, in-flight transactions that still submit
-		// secondary actions execute them inline (submit returns false).
-		s.resolvers.stop()
-	}
 }
 
 // Stats aggregates executor statistics for the whole system.
@@ -314,17 +282,14 @@ type Stats struct {
 	MessagesProcessed uint64
 	// ExecutorCount is the number of executors across all tables.
 	ExecutorCount int
-	// SecondariesParallel is the number of secondary actions executed on the
-	// resolver pool (off the RVP critical path).
+	// Deprecated: always zero; secondary actions run inline.
 	SecondariesParallel uint64
-	// SecondariesInline is the number of secondary actions executed inline on
-	// the RVP thread (SerialSecondaries mode, or the post-Stop fallback).
+	// SecondariesInline is the number of secondary actions executed, all of
+	// them inline on the thread that zeroed the previous phase's RVP.
 	SecondariesInline uint64
 	// ActionsForwarded is the number of primary actions forwarded by
 	// secondary actions after resolving their routing keys (§4.2.2).
 	ActionsForwarded uint64
-	// SecondaryQueue is the current resolver-pool backlog.
-	SecondaryQueue int
 	// PartitionVersion is the global partition-table version (bumped on every
 	// bind and boundary move).
 	PartitionVersion uint64
@@ -347,12 +312,8 @@ func (s *System) Stats() Stats {
 			out.ExecutorCount++
 		}
 	}
-	out.SecondariesParallel = s.statSecondaryParallel.Load()
 	out.SecondariesInline = s.statSecondaryInline.Load()
 	out.ActionsForwarded = s.statForwarded.Load()
-	if s.resolvers != nil {
-		out.SecondaryQueue = s.resolvers.queueLen()
-	}
 	out.PartitionVersion = s.pm.Version()
 	out.BoundaryMoves = s.pm.BoundaryMoves()
 	return out

@@ -319,6 +319,54 @@ func TestAbortRollsBackAcrossExecutors(t *testing.T) {
 	}
 }
 
+// TestFailedRunReturnsAfterRollback: when an action fails while a sibling on
+// another executor is still inside Work, the rollback waits for the sibling,
+// and Run must not return before that rollback has undone the sibling's
+// update.
+func TestFailedRunReturnsAfterRollback(t *testing.T) {
+	sys, e := newBankSystem(t, 4)
+	loadAccounts(t, e, 100, 1, 100)
+
+	boom := errors.New("invalid input")
+	updated := make(chan struct{})
+	tx := sys.NewTransaction()
+	tx.Add(0, &Action{
+		Table: "accounts", Key: key(0), Mode: Exclusive,
+		Work: func(s *Scope) error {
+			if err := s.Update("accounts", accountPK(0, 0), func(tu storage.Tuple) (storage.Tuple, error) {
+				tu[3] = storage.FloatValue(0)
+				return tu, nil
+			}); err != nil {
+				return err
+			}
+			close(updated)
+			// Stay in flight until the sibling has failed the transaction,
+			// and a little longer, so the abort must wait for this action.
+			for tx.State() != "aborted" {
+				time.Sleep(time.Millisecond)
+			}
+			time.Sleep(20 * time.Millisecond)
+			return nil
+		},
+	})
+	tx.Add(0, &Action{
+		Table: "accounts", Key: key(60), Mode: Exclusive,
+		Work: func(s *Scope) error {
+			<-updated
+			return boom
+		},
+	})
+	if err := tx.Run(); !errors.Is(err, boom) {
+		t.Fatalf("Run = %v, want the action error", err)
+	}
+	check := e.Begin()
+	got, err := e.Probe(check, "accounts", accountPK(0, 0), engine.Conventional())
+	if err != nil || got[3].Float != 100 {
+		t.Fatalf("balance after the failed Run returned = %v, %v; want the rolled-back 100", got, err)
+	}
+	e.Commit(check)
+}
+
 func TestBlockedActionResumesAfterCommit(t *testing.T) {
 	sys, e := newBankSystem(t, 2)
 	loadAccounts(t, e, 2, 1, 0)

@@ -531,7 +531,7 @@ func (e *Executor) execute(a *boundAction) {
 		flow.fail(err)
 		return
 	}
-	flow.actionDone(a)
+	flow.actionDone(a, e.global)
 }
 
 // doraClockStart / doraClockStop attribute time spent in the DORA mechanism

@@ -3,7 +3,6 @@ package dora
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -12,74 +11,14 @@ import (
 	"dora/internal/storage"
 )
 
-// TestSecondaryActionsRunOnResolverPool verifies that in the default
-// (parallel) mode, secondary actions execute on resolver threads — off any
-// executor, with a real worker id — and concurrently with each other.
-func TestSecondaryActionsRunOnResolverPool(t *testing.T) {
+// TestSecondaryActionsRunInlineInOrder: the secondary actions of a phase run
+// on the thread that submits the phase, off every executor, one after another.
+func TestSecondaryActionsRunInlineInOrder(t *testing.T) {
 	sys, e := newBankSystem(t, 4)
 	loadAccounts(t, e, 4, 1, 100)
-
-	const n = 4
-	var (
-		mu      sync.Mutex
-		workers = map[int]bool{}
-	)
-	ready := make(chan struct{}, n)
-	gate := make(chan struct{})
-	tx := sys.NewTransaction()
-	for i := 0; i < n; i++ {
-		tx.Add(0, &Action{
-			Table: "accounts", Mode: Shared,
-			Work: func(s *Scope) error {
-				if s.Executor() != nil {
-					return errors.New("secondary action ran on an executor")
-				}
-				if s.workerID() < 0 {
-					return fmt.Errorf("secondary action got worker id %d, want a real resolver id", s.workerID())
-				}
-				mu.Lock()
-				workers[s.workerID()] = true
-				mu.Unlock()
-				ready <- struct{}{}
-				<-gate // hold every resolver until all n are in flight
-				return nil
-			},
-		})
-	}
-	done := tx.RunAsync()
-	// All n secondaries must be in flight simultaneously: the pool has
-	// DefaultSecondaryWorkers (= n) resolvers, and none can finish until the
-	// gate opens, so this receive only completes if they run in parallel.
-	for i := 0; i < n; i++ {
-		<-ready
-	}
-	close(gate)
-	if err := <-done; err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(workers) < 2 {
-		t.Fatalf("secondaries ran on %d distinct resolver workers, want several", len(workers))
-	}
-	st := sys.Stats()
-	if st.SecondariesParallel != n || st.SecondariesInline != 0 {
-		t.Fatalf("stats = parallel %d inline %d, want %d/0", st.SecondariesParallel, st.SecondariesInline, n)
-	}
-}
-
-// TestSerialSecondariesRunInline verifies the SerialSecondaries escape hatch:
-// secondaries execute on the dispatching/RVP thread, one after another.
-func TestSerialSecondariesRunInline(t *testing.T) {
-	sys, e := newBankSystem(t, 4)
-	loadAccounts(t, e, 4, 1, 100)
-	serial := NewSystem(e, Config{SerialSecondaries: true})
-	if err := serial.BindTableInts("accounts", 0, 99, 4); err != nil {
-		t.Fatalf("BindTableInts: %v", err)
-	}
-	defer serial.Stop()
-	_ = sys
 
 	var inFlight, maxInFlight atomic.Int32
-	tx := serial.NewTransaction()
+	tx := sys.NewTransaction()
 	for i := 0; i < 4; i++ {
 		tx.Add(0, &Action{
 			Table: "accounts", Mode: Shared,
@@ -103,9 +42,9 @@ func TestSerialSecondariesRunInline(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	if got := maxInFlight.Load(); got != 1 {
-		t.Fatalf("max concurrent secondaries = %d, want 1 in serial mode", got)
+		t.Fatalf("max concurrent secondaries = %d, want 1", got)
 	}
-	st := serial.Stats()
+	st := sys.Stats()
 	if st.SecondariesInline != 4 || st.SecondariesParallel != 0 {
 		t.Fatalf("stats = parallel %d inline %d, want 0/4", st.SecondariesParallel, st.SecondariesInline)
 	}
@@ -114,81 +53,95 @@ func TestSerialSecondariesRunInline(t *testing.T) {
 // TestSecondaryForwardsPrimaryAction exercises resolve-then-forward: a
 // secondary action resolves a routing key through the secondary index and
 // forwards the record access to the owning executor; the phase's RVP must
-// wait for the forwarded action, so the next phase sees its effect.
+// wait for the forwarded action, so the next phase sees its effect. Serial
+// runs one such transaction; Parallel runs one per account concurrently, so
+// forwards from different dispatchers meet on the executors.
 func TestSecondaryForwardsPrimaryAction(t *testing.T) {
-	for _, serial := range []bool{false, true} {
-		name := "Parallel"
-		if serial {
-			name = "Serial"
+	t.Run("Serial", func(t *testing.T) {
+		sys, e := newBankSystem(t, 4)
+		loadAccounts(t, e, 4, 1, 100)
+		if err := runForwardTxn(sys, 2); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			sys, e := newBankSystem(t, 4)
-			loadAccounts(t, e, 4, 1, 100)
-			if serial {
-				sys = NewSystem(e, Config{SerialSecondaries: true})
-				if err := sys.BindTableInts("accounts", 0, 99, 4); err != nil {
-					t.Fatalf("BindTableInts: %v", err)
-				}
-				defer sys.Stop()
+		if st := sys.Stats(); st.ActionsForwarded != 1 {
+			t.Fatalf("ActionsForwarded = %d, want 1", st.ActionsForwarded)
+		}
+	})
+	t.Run("Parallel", func(t *testing.T) {
+		const accounts = 4
+		sys, e := newBankSystem(t, 4)
+		loadAccounts(t, e, accounts, 1, 100)
+		errs := make(chan error, accounts)
+		for b := int64(0); b < accounts; b++ {
+			go func(b int64) { errs <- runForwardTxn(sys, b) }(b)
+		}
+		for i := 0; i < accounts; i++ {
+			if err := <-errs; err != nil {
+				t.Error(err)
 			}
+		}
+		if st := sys.Stats(); st.ActionsForwarded != accounts {
+			t.Fatalf("ActionsForwarded = %d, want %d", st.ActionsForwarded, accounts)
+		}
+	})
+}
 
-			var forwardedOn *Executor
-			tx := sys.NewTransaction()
-			tx.Add(0, &Action{
-				Table: "accounts", Mode: Exclusive,
+// runForwardTxn runs one transaction whose phase-0 secondary action finds
+// account (branch, 0) by owner and forwards an +11 update to its executor,
+// and whose phase 1 reads the balance back. It fails unless phase 1 saw the
+// update (balance 111) and the forwarded action ran on an accounts executor.
+func runForwardTxn(sys *System, branch int64) error {
+	var forwardedOn *Executor
+	tx := sys.NewTransaction()
+	tx.Add(0, &Action{
+		Table: "accounts", Mode: Exclusive,
+		Work: func(s *Scope) error {
+			matches, err := s.SecondaryLookup("accounts", "by_owner",
+				storage.EncodeKey(storage.StringValue(fmt.Sprintf("owner-%d-0", branch))))
+			if err != nil {
+				return err
+			}
+			if len(matches) != 1 {
+				return fmt.Errorf("got %d matches", len(matches))
+			}
+			m := matches[0]
+			return s.Forward(&Action{
+				Table: "accounts", Key: m.Routing, Mode: Exclusive,
 				Work: func(s *Scope) error {
-					matches, err := s.SecondaryLookup("accounts", "by_owner",
-						storage.EncodeKey(storage.StringValue("owner-2-0")))
-					if err != nil {
-						return err
-					}
-					if len(matches) != 1 {
-						return fmt.Errorf("got %d matches", len(matches))
-					}
-					m := matches[0]
-					return s.Forward(&Action{
-						Table: "accounts", Key: m.Routing, Mode: Exclusive,
-						Work: func(s *Scope) error {
-							forwardedOn = s.Executor()
-							return s.UpdateRID("accounts", m.RID, func(tu storage.Tuple) (storage.Tuple, error) {
-								tu[3] = storage.FloatValue(tu[3].Float + 11)
-								return tu, nil
-							})
-						},
+					forwardedOn = s.Executor()
+					return s.UpdateRID("accounts", m.RID, func(tu storage.Tuple) (storage.Tuple, error) {
+						tu[3] = storage.FloatValue(tu[3].Float + 11)
+						return tu, nil
 					})
 				},
 			})
-			// The next phase reads the updated balance: it must observe the
-			// forwarded action's effect, proving the RVP waited for it.
-			var seen float64
-			tx.Add(1, &Action{
-				Table: "accounts", Key: key(2), Mode: Shared,
-				Work: func(s *Scope) error {
-					tu, err := s.Probe("accounts", accountPK(2, 0))
-					if err != nil {
-						return err
-					}
-					seen = tu[3].Float
-					return nil
-				},
-			})
-			if err := tx.Run(); err != nil {
-				t.Fatalf("Run: %v", err)
+		},
+	})
+	var seen float64
+	tx.Add(1, &Action{
+		Table: "accounts", Key: key(branch), Mode: Shared,
+		Work: func(s *Scope) error {
+			tu, err := s.Probe("accounts", accountPK(branch, 0))
+			if err != nil {
+				return err
 			}
-			if seen != 111 {
-				t.Fatalf("phase 1 saw balance %v, want 111 (forwarded update applied first)", seen)
-			}
-			if forwardedOn == nil {
-				t.Fatalf("forwarded action did not run on an executor")
-			}
-			if forwardedOn.Table() != "accounts" {
-				t.Fatalf("forwarded action ran on executor for %q", forwardedOn.Table())
-			}
-			if st := sys.Stats(); st.ActionsForwarded != 1 {
-				t.Fatalf("ActionsForwarded = %d, want 1", st.ActionsForwarded)
-			}
-		})
+			seen = tu[3].Float
+			return nil
+		},
+	})
+	if err := tx.Run(); err != nil {
+		return fmt.Errorf("account %d: Run: %w", branch, err)
 	}
+	if seen != 111 {
+		return fmt.Errorf("account %d: phase 1 saw balance %v, want 111 (forwarded update applied first)", branch, seen)
+	}
+	if forwardedOn == nil {
+		return fmt.Errorf("account %d: forwarded action did not run on an executor", branch)
+	}
+	if forwardedOn.Table() != "accounts" {
+		return fmt.Errorf("account %d: forwarded action ran on executor for %q", branch, forwardedOn.Table())
+	}
+	return nil
 }
 
 // TestForwardValidation rejects forwards that are not routed primary actions.
@@ -215,13 +168,13 @@ func TestForwardValidation(t *testing.T) {
 	}
 }
 
-// TestSecondaryFailureAbortsFlow: an error from a pooled secondary aborts the
+// TestSecondaryFailureAbortsFlow: an error from a secondary action aborts the
 // whole transaction, including its routed siblings' effects.
 func TestSecondaryFailureAbortsFlow(t *testing.T) {
 	sys, e := newBankSystem(t, 4)
 	loadAccounts(t, e, 4, 1, 100)
 
-	boom := errors.New("resolver boom")
+	boom := errors.New("secondary boom")
 	tx := sys.NewTransaction()
 	tx.Add(0, &Action{
 		Table: "accounts", Key: key(1), Mode: Exclusive,
@@ -247,19 +200,45 @@ func TestSecondaryFailureAbortsFlow(t *testing.T) {
 	e.Commit(check)
 }
 
-// TestSecondaryWorkerAttribution: engine accesses from a pooled secondary
-// carry the resolver's worker id into record-access traces, not -1.
+// TestSecondaryWorkerAttribution: engine accesses from a secondary action
+// carry the id of the thread that ran it into record-access traces: the
+// executor that zeroed the previous phase's RVP, or -1 for the dispatcher.
 func TestSecondaryWorkerAttribution(t *testing.T) {
 	sys, e := newBankSystem(t, 4)
 	loadAccounts(t, e, 4, 1, 100)
-	rec := engine.NewTraceRecorder()
-	e.SetTraceHook(rec.Record)
-	defer e.SetTraceHook(nil)
 
+	var phase0Worker int
 	tx := sys.NewTransaction()
 	tx.Add(0, &Action{
 		Table: "accounts", Mode: Shared,
 		Work: func(s *Scope) error {
+			phase0Worker = s.workerID()
+			return nil
+		},
+	})
+	if err := tx.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if phase0Worker != -1 {
+		t.Fatalf("phase-0 secondary ran as worker %d, want -1 (the dispatcher)", phase0Worker)
+	}
+
+	rec := engine.NewTraceRecorder()
+	e.SetTraceHook(rec.Record)
+	defer e.SetTraceHook(nil)
+	var rvpWorker, phase1Worker int
+	tx = sys.NewTransaction()
+	tx.Add(0, &Action{
+		Table: "accounts", Key: key(1), Mode: Shared,
+		Work: func(s *Scope) error {
+			rvpWorker = s.workerID()
+			return nil
+		},
+	})
+	tx.Add(1, &Action{
+		Table: "accounts", Mode: Shared,
+		Work: func(s *Scope) error {
+			phase1Worker = s.workerID()
 			_, err := s.Probe("accounts", accountPK(3, 0))
 			return err
 		},
@@ -267,13 +246,16 @@ func TestSecondaryWorkerAttribution(t *testing.T) {
 	if err := tx.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	if rvpWorker < 0 || phase1Worker != rvpWorker {
+		t.Fatalf("phase-1 secondary ran as worker %d, want %d (the executor that zeroed RVP1)", phase1Worker, rvpWorker)
+	}
 	events := rec.Events()
 	if len(events) == 0 {
 		t.Fatalf("no trace events recorded")
 	}
 	for _, ev := range events {
-		if ev.WorkerID < 0 {
-			t.Fatalf("trace event attributed to worker %d, want a real resolver id", ev.WorkerID)
+		if ev.WorkerID != rvpWorker {
+			t.Fatalf("trace event attributed to worker %d, want %d", ev.WorkerID, rvpWorker)
 		}
 	}
 }

@@ -192,7 +192,7 @@ func TestLockWaitTimeoutResolvesCrossExecutorDeadlock(t *testing.T) {
 // TestSecondaryForwardingBoundaryMoveStress mixes the resolve-then-forward
 // path with mid-flight ResourceManager boundary moves (run under -race in
 // CI): every transaction claims its account's local lock, resolves the
-// account through the by_owner secondary index on a resolver thread, and
+// account through the by_owner secondary index on the RVP thread, and
 // forwards the balance update to the owning executor, while a mover thread
 // wiggles the routing boundaries. Transactions may abort (lock-wait victims
 // of boundary re-homing) but must never be lost, and the committed effects
@@ -285,8 +285,8 @@ func TestSecondaryForwardingBoundaryMoveStress(t *testing.T) {
 	if st.ActionsForwarded < committed.Load() {
 		t.Fatalf("Stats.ActionsForwarded=%d < committed=%d", st.ActionsForwarded, committed.Load())
 	}
-	if st.SecondariesParallel < committed.Load() {
-		t.Fatalf("Stats.SecondariesParallel=%d < committed=%d", st.SecondariesParallel, committed.Load())
+	if st.SecondariesInline < committed.Load() {
+		t.Fatalf("Stats.SecondariesInline=%d < committed=%d", st.SecondariesInline, committed.Load())
 	}
 
 	// The committed effects all landed: each committed transaction added 1 to

@@ -81,12 +81,12 @@ type Transaction struct {
 	// whichever thread zeroes the previous RVP.
 	rvpNanos atomic.Int64
 
-	// execs counts action bodies currently inside Work (executor, resolver,
-	// or inline-secondary thread). fail() must not roll the engine
-	// transaction back while one is in flight — a mutation landing after the
-	// undo would survive the abort — so the last execution to retire
-	// finishes a deferred abort (endExec/completeAbort). abortDone makes the
-	// rollback-and-release sequence run exactly once across the racers.
+	// execs counts action bodies currently inside Work (on an executor or an
+	// RVP thread). fail() must not roll the engine transaction back while one
+	// is in flight — a mutation landing after the undo would survive the
+	// abort — so the last execution to retire finishes a deferred abort
+	// (endExec/completeAbort). abortDone makes the rollback-and-release
+	// sequence run exactly once across the racers.
 	execs     atomic.Int64
 	abortDone atomic.Bool
 }
@@ -275,7 +275,7 @@ func (t *Transaction) start_() error {
 		t.finalize()
 		return nil
 	}
-	t.submitPhase(0)
+	t.submitPhase(0, -1)
 	return nil
 }
 
@@ -284,9 +284,9 @@ func (t *Transaction) start_() error {
 // before any action is enqueued, so the submission appears atomic and two
 // transactions with the same flow graph can never deadlock (§4.2.3).
 // Unordered actions are enqueued individually before the ordered group, and
-// secondary actions are dispatched to the resolver pool (or executed inline
-// here when the system runs with SerialSecondaries).
-func (t *Transaction) submitPhase(idx int) {
+// secondary actions then execute inline on the calling thread, which is
+// identified by worker (-1 for the dispatcher).
+func (t *Transaction) submitPhase(idx, worker int) {
 	if !t.running() {
 		return
 	}
@@ -364,52 +364,39 @@ func (t *Transaction) submitPhase(idx int) {
 		tg.ex.enqueueAction(tg.act)
 	}
 
-	if t.sys.cfg.DisableOrderedSubmission {
-		for _, tg := range targets {
-			tg.ex.enqueueAction(tg.act)
+	// Latch the queues of all distinct target executors in global order.
+	distinct := make([]*Executor, 0, len(targets))
+	seen := make(map[*Executor]bool, len(targets))
+	for _, tg := range targets {
+		if !seen[tg.ex] {
+			seen[tg.ex] = true
+			distinct = append(distinct, tg.ex)
 		}
-	} else {
-		// Latch the queues of all distinct target executors in global order.
-		distinct := make([]*Executor, 0, len(targets))
-		seen := make(map[*Executor]bool, len(targets))
-		for _, tg := range targets {
-			if !seen[tg.ex] {
-				seen[tg.ex] = true
-				distinct = append(distinct, tg.ex)
-			}
-		}
-		sort.Slice(distinct, func(i, j int) bool { return distinct[i].global < distinct[j].global })
-		for _, ex := range distinct {
-			ex.lockQueue()
-		}
-		for _, tg := range targets {
-			tg.ex.enqueueActionLocked(tg.act)
-		}
-		for i := len(distinct) - 1; i >= 0; i-- {
-			distinct[i].unlockQueue()
-		}
+	}
+	sort.Slice(distinct, func(i, j int) bool { return distinct[i].global < distinct[j].global })
+	for _, ex := range distinct {
+		ex.lockQueue()
+	}
+	for _, tg := range targets {
+		tg.ex.enqueueActionLocked(tg.act)
+	}
+	for i := len(distinct) - 1; i >= 0; i-- {
+		distinct[i].unlockQueue()
 	}
 	t.rvpClockStop(clock)
 
-	if len(secondaries) == 0 {
-		return
-	}
-	if !t.sys.cfg.SerialSecondaries && t.sys.resolvers != nil &&
-		t.sys.resolvers.submit(secondaries) {
-		return
-	}
-	// Serial mode (or post-Stop fallback): secondary actions run on this
-	// thread — the previous phase's RVP-executing thread, or the dispatcher
-	// for phase 0 — one after another, on the transaction's critical path.
+	// Secondary actions run on this thread (the previous phase's RVP thread,
+	// or the dispatcher for phase 0), one after another. They are index
+	// lookups that forward the record accesses to the owning executors, so a
+	// hand-off to another goroutine would cost more than the lookup itself.
 	for i, ba := range secondaries {
 		if !t.beginExec() {
 			recycleBoundActions(secondaries[i:])
 			return
 		}
 		t.sys.statSecondaryInline.Add(1)
-		scope := &Scope{flow: t, phase: idx, worker: -1}
 		c := t.rvpClockStart()
-		err := ba.action.Work(scope)
+		err := ba.action.Work(&Scope{flow: t, phase: idx, worker: worker})
 		t.rvpClockStop(c)
 		t.endExec()
 		if err != nil {
@@ -417,7 +404,7 @@ func (t *Transaction) submitPhase(idx int) {
 			recycleBoundActions(secondaries[i:])
 			return
 		}
-		t.actionDone(ba)
+		t.actionDone(ba, worker)
 		releaseBoundAction(ba)
 	}
 }
@@ -472,8 +459,9 @@ func recycleBoundActions(bas []*boundAction) {
 
 // actionDone reports an action's completion to its phase RVP; the caller that
 // zeroes the RVP initiates the next phase or, for the terminal RVP, the
-// commit (steps 4-5 and 9 of the walkthrough).
-func (t *Transaction) actionDone(a *boundAction) {
+// commit (steps 4-5 and 9 of the walkthrough). worker identifies the calling
+// thread, which runs the next phase's secondary actions.
+func (t *Transaction) actionDone(a *boundAction, worker int) {
 	if t.rvps[a.phase].remaining.Add(-1) != 0 {
 		return
 	}
@@ -481,7 +469,7 @@ func (t *Transaction) actionDone(a *boundAction) {
 		t.finalize()
 		return
 	}
-	t.submitPhase(a.phase + 1)
+	t.submitPhase(a.phase+1, worker)
 }
 
 // isParticipant reports whether the executor holds (or held) local locks on
@@ -584,12 +572,16 @@ func (t *Transaction) releaseAdmission() {
 // the lock-releasing broadcast are deferred to that execution's retirement
 // (endExec): undoing concurrently with a still-running mutation would let
 // the mutation survive the abort, and releasing local locks before the undo
-// lands would hand waiters a torn read.
+// lands would hand waiters a torn read. The client is answered only after
+// the rollback, so a failed Run never returns while its changes are visible.
 func (t *Transaction) fail(cause error) {
+	// errMu spans the CAS so that a deferred abort completing on another
+	// thread cannot answer the client before the cause is recorded.
+	t.errMu.Lock()
 	if !t.state.CompareAndSwap(flowRunning, flowAborted) {
+		t.errMu.Unlock()
 		return
 	}
-	t.errMu.Lock()
 	t.err = cause
 	t.errMu.Unlock()
 	// The CAS above stops new executions (beginExec re-checks the state
@@ -599,7 +591,6 @@ func (t *Transaction) fail(cause error) {
 	if t.execs.Load() == 0 {
 		t.completeAbort()
 	}
-	close(t.done)
 }
 
 // beginExec registers an action body about to execute on behalf of this
@@ -623,9 +614,10 @@ func (t *Transaction) endExec() {
 }
 
 // completeAbort performs the abort's side effects exactly once: the engine
-// rollback, the admission-credit release, and the completion broadcast that
+// rollback, the admission-credit release, the completion broadcast that
 // releases the transaction's local locks (strictly after the rollback, so a
-// woken waiter never reads state that is still being undone).
+// woken waiter never reads state that is still being undone), and the
+// client's answer.
 func (t *Transaction) completeAbort() {
 	if !t.abortDone.CompareAndSwap(false, true) {
 		return
@@ -635,6 +627,7 @@ func (t *Transaction) completeAbort() {
 	}
 	t.releaseAdmission()
 	t.broadcastCompletions()
+	close(t.done)
 }
 
 // broadcastCompletions enqueues the transaction-completion message to every

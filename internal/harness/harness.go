@@ -64,38 +64,6 @@ type Config struct {
 	// many back-to-back measurements on the same data and check once at the
 	// end).
 	SkipCheck bool
-	// Retry, when non-nil, makes each client retry retryable aborts (sheds,
-	// deadline misses, deadlock victims) with capped exponential backoff
-	// before giving up on the transaction — the cooperative-client half of
-	// admission control. Input aborts and device failures are never retried.
-	Retry *RetryPolicy
-}
-
-// RetryPolicy is the client-side backoff-retry loop configuration.
-type RetryPolicy struct {
-	// MaxAttempts bounds total attempts per transaction (first try included).
-	// Zero uses DefaultRetryAttempts.
-	MaxAttempts int
-	// Backoff is the first retry's sleep, doubled per retry. Zero uses
-	// DefaultRetryBackoff. An OverloadError's RetryAfter hint, when larger,
-	// takes precedence for that retry.
-	Backoff time.Duration
-	// MaxBackoff caps the doubling. Zero uses DefaultRetryMaxBackoff.
-	MaxBackoff time.Duration
-}
-
-// Client retry defaults.
-const (
-	DefaultRetryAttempts   = 3
-	DefaultRetryBackoff    = 200 * time.Microsecond
-	DefaultRetryMaxBackoff = 5 * time.Millisecond
-)
-
-// retryable reports whether a failed attempt is worth repeating: load sheds
-// and concurrency victims clear up; bad input and dead devices do not.
-func retryable(cause string) bool {
-	return cause == workload.CauseShed || cause == workload.CauseDeadline ||
-		cause == workload.CauseDeadlock
 }
 
 // Result is the measurement output of one run.
@@ -110,15 +78,6 @@ type Result struct {
 	Throughput float64 // committed transactions per second
 
 	MeanLatency time.Duration
-	P95Latency  time.Duration
-	P99Latency  time.Duration
-
-	// AbortCauses tallies failed transactions by the workload abort-cause
-	// taxonomy (shed / deadline / deadlock / device / input / other); empty
-	// when nothing failed. Retries counts retry attempts the clients spent
-	// under the run's RetryPolicy (zero without one).
-	AbortCauses map[string]uint64
-	Retries     uint64
 
 	// Breakdown is the normalized time breakdown (work / lock manager /
 	// lock-manager contention / DORA overhead), Figure 1b/1c and Figure 2.
@@ -127,71 +86,6 @@ type Result struct {
 	LockMgr metrics.LockMgrBreakdown
 	// LocksPer100Txns is the Figure 5 census.
 	LocksPer100Txns map[metrics.LockClass]float64
-
-	// ExecutorBatches is the histogram of executor queue-drain batch sizes
-	// (messages served per queue-latch acquisition); empty for Baseline runs.
-	ExecutorBatches metrics.HistogramSnapshot
-	// CriticalPath is the per-transaction dispatch-to-terminal-RVP wall-time
-	// histogram in microseconds (DORA runs only): the span that parallel
-	// secondary actions shorten.
-	CriticalPath metrics.HistogramSnapshot
-	// RVPThreadTime is the per-transaction histogram of time RVP threads
-	// spent on the critical path (routing, enqueueing, inline secondaries),
-	// in microseconds; DORA runs only.
-	RVPThreadTime metrics.HistogramSnapshot
-	// FlushCoalescing is the histogram of commits made durable per log
-	// flush, as reported by the WAL group-commit flusher.
-	FlushCoalescing metrics.HistogramSnapshot
-	// DeviceWrite and Fsync are the log-device write and fsync latency
-	// histograms (µs) observed during the run; Fsync is empty unless the
-	// engine's log runs a syncing policy over a real device.
-	DeviceWrite metrics.HistogramSnapshot
-	Fsync       metrics.HistogramSnapshot
-	// LogFlushes is the number of log device writes during the run.
-	LogFlushes uint64
-	// LogSyncs is the number of fsyncs during the run (equal to LogFlushes
-	// under wal.SyncOnFlush: one fsync per coalesced device write).
-	LogSyncs uint64
-	// CommitsPerFlush is the average commit group size during the run
-	// (commit waiters made durable / device writes).
-	CommitsPerFlush float64
-
-	// AppendWait is the per-append wait histogram (µs): the time an appender
-	// spent acquiring and holding the log buffer latch.
-	AppendWait metrics.HistogramSnapshot
-	// LockHold is the commit-side lock-hold-time histogram (µs): transaction
-	// start to local-lock release. Early lock release shifts it left by the
-	// flush latency, since locks drop at the commit record's append rather
-	// than at its durability.
-	LockHold metrics.HistogramSnapshot
-
-	// BoundaryMoves is the number of routing-boundary moves the partition
-	// manager applied during the run (balancer-driven or manual), and
-	// MovesPerSec the same normalized by the run's wall time.
-	BoundaryMoves uint64
-	MovesPerSec   float64
-	// Imbalance is the balancer's last imbalance score of the run (max/mean
-	// per-executor load across the most loaded table; 1.0 is perfectly even,
-	// 0 when the balancer is off or never ticked).
-	Imbalance float64
-	// PartitionVersion is the last partition-table version installed during
-	// the run (0 when the routing rule never changed mid-run).
-	PartitionVersion uint64
-	// Rebalances are the balancer's boundary-move events recorded during the
-	// run, in order.
-	Rebalances []dora.RebalanceEvent
-
-	// SnapshotReads is the number of record reads served from epoch-pinned
-	// snapshots during the run (zero when nothing used the snapshot path).
-	SnapshotReads uint64
-	// ChainLength is the version-chain-length histogram the pruner observed
-	// during the run: how much multi-version history writers accumulated
-	// between reclamation passes.
-	ChainLength metrics.HistogramSnapshot
-	// PruneLag is the histogram of visible-epoch-to-watermark distance at
-	// each pruner pass (epochs): how far reclamation trailed commits,
-	// widened by long-lived snapshots.
-	PruneLag metrics.HistogramSnapshot
 
 	// InvariantErr is the post-run verdict of the workload's consistency
 	// checker (workload.Driver.Check): nil when every invariant holds. A
@@ -207,9 +101,6 @@ func (r Result) Valid() bool { return r.InvariantErr == nil }
 func (r Result) String() string {
 	s := fmt.Sprintf("%s/%s workers=%d tps=%.0f committed=%d aborted=%d mean=%s",
 		r.Workload, r.System, r.Workers, r.Throughput, r.Committed, r.Aborted, r.MeanLatency)
-	if r.BoundaryMoves > 0 {
-		s += fmt.Sprintf(" moves=%d imbalance=%.2f", r.BoundaryMoves, r.Imbalance)
-	}
 	if r.InvariantErr != nil {
 		s += fmt.Sprintf(" INVARIANT-VIOLATION: %v", r.InvariantErr)
 	}
@@ -255,8 +146,8 @@ func Setup(driver workload.Driver, executorsPerTable int, seed int64) (*Bench, e
 // directory whose previous process died mid-Load yields that partial state
 // (the schema records make the catalog non-empty, so the load is not rerun);
 // the post-run invariant checker flags it — callers that crash-test should
-// only reuse directories whose load completed (as dorabench's crash child
-// guarantees by reporting READY after Setup returns).
+// only reuse directories whose load completed (the tpcc crash-restart test
+// kills its child only after the child has reported commits).
 func SetupDurable(driver workload.Driver, executorsPerTable int, seed int64, dur Durability) (*Bench, error) {
 	cfg := engine.Config{
 		BufferPoolFrames: 1 << 15,
@@ -300,53 +191,12 @@ func SetupDurable(driver workload.Driver, executorsPerTable int, seed int64, dur
 	return b, nil
 }
 
-// SetupOn loads the workload onto an engine the caller already built — the
-// chaos experiments use it with engine.NewWithDevice to slide a
-// wal.FaultDevice under the flusher — and (when executors > 0) binds a DORA
-// system to it. The returned Bench owns the engine: Close closes it.
-func SetupOn(e *engine.Engine, driver workload.Driver, executorsPerTable int, seed int64) (*Bench, error) {
-	if len(e.Tables()) == 0 {
-		if err := driver.CreateTables(e); err != nil {
-			return nil, err
-		}
-		if err := driver.Load(e, rand.New(rand.NewSource(seed))); err != nil {
-			return nil, err
-		}
-	}
-	b := &Bench{Driver: driver, Engine: e}
-	if executorsPerTable > 0 {
-		sys := dora.NewSystem(e, dora.Config{})
-		if err := driver.BindDORA(sys, executorsPerTable); err != nil {
-			sys.Stop()
-			return nil, err
-		}
-		b.DORA = sys
-	}
-	return b, nil
-}
-
 // Close stops the DORA executors and the engine's background resources.
 func (b *Bench) Close() {
 	if b.DORA != nil {
 		b.DORA.Stop()
 	}
 	b.Engine.Close()
-}
-
-// RebindDORA replaces the environment's DORA system with one built from the
-// given configuration (stopping the previous system first). It is how A/B
-// experiments — serial vs parallel secondaries, ordered vs unordered
-// submission — run both variants over the same loaded engine.
-func (b *Bench) RebindDORA(cfg dora.Config, executorsPerTable int) error {
-	if b.DORA != nil {
-		b.DORA.Stop()
-	}
-	sys := dora.NewSystem(b.Engine, cfg)
-	if err := b.Driver.BindDORA(sys, executorsPerTable); err != nil {
-		return err
-	}
-	b.DORA = sys
-	return nil
 }
 
 // Run executes one measurement run against the prepared environment.
@@ -364,18 +214,9 @@ func (b *Bench) Run(cfg Config) Result {
 	col := metrics.NewCollector()
 	b.Engine.SetCollector(col)
 	defer b.Engine.SetCollector(nil)
-	flushBefore := b.Engine.Log().FlushStats()
-	// Rebalance events accumulate for the balancer's lifetime; remember the
-	// watermark so the result reports only this run's moves.
-	eventsBefore := 0
-	if b.DORA != nil && b.DORA.Balancer() != nil {
-		eventsBefore = b.DORA.Balancer().EventCount()
-	}
 
-	var committed, aborted, errs, retried atomic.Uint64
+	var committed, aborted, errs atomic.Uint64
 	var busyNanos atomic.Int64
-	var causeMu sync.Mutex
-	causes := make(map[string]uint64)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -397,43 +238,11 @@ func (b *Bench) Run(cfg Config) Result {
 				}
 				kind := mix.Pick(rng)
 				t0 := time.Now()
-				// The attempt loop: with a RetryPolicy, retryable aborts
-				// (sheds, deadline misses, deadlock victims) are repeated
-				// after a capped-exponential backoff; the recorded latency is
-				// the client-perceived span across all attempts.
 				var err error
-				attempts, backoff := 1, time.Duration(0)
-				if cfg.Retry != nil {
-					if attempts = cfg.Retry.MaxAttempts; attempts <= 0 {
-						attempts = DefaultRetryAttempts
-					}
-					if backoff = cfg.Retry.Backoff; backoff <= 0 {
-						backoff = DefaultRetryBackoff
-					}
-				}
-				for attempt := 1; ; attempt++ {
-					if cfg.System == DORA {
-						err = b.Driver.RunDORA(b.DORA, kind, rng, id)
-					} else {
-						err = b.Driver.RunBaseline(b.Engine, kind, rng, id)
-					}
-					if err == nil || attempt >= attempts || !retryable(workload.AbortCause(err)) {
-						break
-					}
-					retried.Add(1)
-					sleep := backoff
-					var oe *dora.OverloadError
-					if errors.As(err, &oe) && oe.RetryAfter > sleep {
-						sleep = oe.RetryAfter
-					}
-					time.Sleep(sleep)
-					maxBackoff := DefaultRetryMaxBackoff
-					if cfg.Retry.MaxBackoff > 0 {
-						maxBackoff = cfg.Retry.MaxBackoff
-					}
-					if backoff *= 2; backoff > maxBackoff {
-						backoff = maxBackoff
-					}
+				if cfg.System == DORA {
+					err = b.Driver.RunDORA(b.DORA, kind, rng, id)
+				} else {
+					err = b.Driver.RunBaseline(b.Engine, kind, rng, id)
 				}
 				elapsed := time.Since(t0)
 				busyNanos.Add(int64(elapsed))
@@ -448,16 +257,8 @@ func (b *Bench) Run(cfg Config) Result {
 					}
 				case errors.Is(err, workload.ErrAborted):
 					aborted.Add(1)
-					cause := workload.AbortCause(err)
-					causeMu.Lock()
-					causes[cause]++
-					causeMu.Unlock()
 				default:
 					errs.Add(1)
-					cause := workload.AbortCause(err)
-					causeMu.Lock()
-					causes[cause]++
-					causeMu.Unlock()
 				}
 			}
 		}(w)
@@ -476,8 +277,6 @@ func (b *Bench) Run(cfg Config) Result {
 		col.AddTime(metrics.Work, busy-accounted)
 	}
 
-	flushAfter := b.Engine.Log().FlushStats()
-
 	res := Result{
 		System:          cfg.System,
 		Workload:        b.Driver.Name(),
@@ -488,39 +287,9 @@ func (b *Bench) Run(cfg Config) Result {
 		Errors:          errs.Load(),
 		Throughput:      float64(committed.Load()) / elapsed.Seconds(),
 		MeanLatency:     col.MeanLatency(),
-		P95Latency:      col.LatencyPercentile(95),
-		P99Latency:      col.LatencyPercentile(99),
-		AbortCauses:     causes,
-		Retries:         retried.Load(),
 		Breakdown:       col.Breakdown(),
 		LockMgr:         col.LockMgrBreakdown(),
 		LocksPer100Txns: col.LocksPer100Txns(),
-		ExecutorBatches: col.ExecutorBatches(),
-		CriticalPath:    col.CriticalPath(),
-		RVPThreadTime:   col.RVPThreadTime(),
-		FlushCoalescing: col.FlushCoalescing(),
-		DeviceWrite:     col.DeviceWriteLatency(),
-		Fsync:           col.FsyncLatency(),
-		LogFlushes:      flushAfter.Flushes - flushBefore.Flushes,
-		LogSyncs:        flushAfter.Syncs - flushBefore.Syncs,
-		SnapshotReads:   col.SnapshotReads(),
-		ChainLength:     col.ChainLength(),
-		PruneLag:        col.PruneLag(),
-
-		AppendWait: col.AppendWait(),
-		LockHold:   col.LockHold(),
-	}
-	if res.LogFlushes > 0 {
-		res.CommitsPerFlush = float64(flushAfter.CommitsFlushed-flushBefore.CommitsFlushed) / float64(res.LogFlushes)
-	}
-	res.BoundaryMoves = col.BoundaryMoves()
-	res.Imbalance = col.Imbalance()
-	res.PartitionVersion = col.PartitionVersion()
-	if elapsed > 0 {
-		res.MovesPerSec = float64(res.BoundaryMoves) / elapsed.Seconds()
-	}
-	if b.DORA != nil && b.DORA.Balancer() != nil {
-		res.Rebalances = b.DORA.Balancer().EventsSince(eventsBefore)
 	}
 	// Every worker has returned and DORA commits complete before Run()
 	// returns to the worker, so the engine is quiescent: run the workload's

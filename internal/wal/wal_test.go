@@ -228,11 +228,25 @@ func TestManagerConcurrentAppends(t *testing.T) {
 	}
 }
 
+// TestGroupCommitCoalescesConcurrentCommits: 8 concurrent committers share
+// device writes, on the in-memory device with a modelled flush latency and on
+// a file device that fsyncs every flush.
 func TestGroupCommitCoalescesConcurrentCommits(t *testing.T) {
-	m := NewManager()
-	defer m.Close()
-	m.SetFlushDelay(time.Millisecond)
+	for _, file := range []bool{false, true} {
+		var m *Manager
+		if file {
+			m = openFileManager(t, t.TempDir(), Options{Sync: SyncOnFlush})
+		} else {
+			m = NewManager()
+			m.SetFlushDelay(time.Millisecond)
+		}
+		coalesceConcurrentCommits(t, m, file)
+		m.Close()
+	}
+}
 
+func coalesceConcurrentCommits(t *testing.T, m *Manager, file bool) {
+	t.Helper()
 	const goroutines = 8
 	const perG = 10
 	var wg sync.WaitGroup
@@ -256,20 +270,24 @@ func TestGroupCommitCoalescesConcurrentCommits(t *testing.T) {
 	// A committer whose LSN was already durable when it called Flush never
 	// registers a callback, so CommitsFlushed may undercount slightly.
 	if st.CommitsFlushed == 0 || st.CommitsFlushed > goroutines*perG {
-		t.Fatalf("CommitsFlushed = %d, want in (0, %d]", st.CommitsFlushed, goroutines*perG)
+		t.Fatalf("file=%v: CommitsFlushed = %d, want in (0, %d]", file, st.CommitsFlushed, goroutines*perG)
 	}
-	if st.Flushes == 0 || st.Flushes >= goroutines*perG {
-		t.Fatalf("Flushes = %d, want coalescing (0 < flushes < %d)", st.Flushes, goroutines*perG)
+	if st.Flushes == 0 || st.CommitsFlushed <= st.Flushes {
+		t.Fatalf("file=%v: %d commits over %d flushes, want coalescing (more commits than flushes)",
+			file, st.CommitsFlushed, st.Flushes)
 	}
 	if st.MaxCoalesced < 2 {
-		t.Fatalf("MaxCoalesced = %d, want >= 2", st.MaxCoalesced)
+		t.Fatalf("file=%v: MaxCoalesced = %d, want >= 2", file, st.MaxCoalesced)
+	}
+	if file && st.Syncs != st.Flushes {
+		t.Fatalf("SyncOnFlush: syncs=%d flushes=%d, want one fsync per flush", st.Syncs, st.Flushes)
 	}
 	durable, err := m.DurableRecords()
 	if err != nil {
-		t.Fatalf("DurableRecords: %v", err)
+		t.Fatalf("file=%v: DurableRecords: %v", file, err)
 	}
 	if len(durable) != goroutines*perG {
-		t.Fatalf("durable records = %d, want %d", len(durable), goroutines*perG)
+		t.Fatalf("file=%v: durable records = %d, want %d", file, len(durable), goroutines*perG)
 	}
 }
 

@@ -69,8 +69,7 @@ func (z *Zipfian) Next(rng *rand.Rand) int64 {
 // model of a skewed working set (a hot warehouse, a viral account). Unlike
 // Zipfian, the hot window can move while concurrent workers keep drawing:
 // Shift relocates it immediately and ShiftAt schedules relocations against a
-// run's progress, which is how the skew benchmark moves the hot warehouses
-// mid-run.
+// run's progress.
 type Hotspot struct {
 	items         int64
 	hotItems      int64

@@ -94,7 +94,7 @@ func deliveredKey(dd int64) string { return fmt.Sprintf("del_%d", dd) }
 //	         ORDER_LINE[w] (S), CUSTOMER[w] (X)
 //	---- RVP1 ----
 //	phase 1: 10 secondary actions, one per district: probe the oldest
-//	         undelivered order (resolver pool, concurrent), record it under
+//	         undelivered order (inline on the RVP thread), record it under
 //	         shared "del_<d>", and forward the NEW_ORDER delete to the
 //	         owning executor (resolve-then-forward, §4.2.2)
 //	---- RVP2 ----
@@ -109,8 +109,8 @@ func deliveredKey(dd int64) string { return fmt.Sprintf("del_%d", dd) }
 // because the per-district probes only start after the NEW_ORDER[w]
 // exclusive claim is granted — two concurrent Deliveries on one warehouse
 // serialize and never probe the same undelivered order. The probes
-// themselves run off the executor threads and fan out across the resolver
-// pool; only the deletes they forward run on the NEW_ORDER executor. The two
+// themselves run inline on the thread that zeroed RVP1; only the deletes
+// they forward run on the NEW_ORDER executor. The two
 // phase-2 actions depend only on the probed order ids and run concurrently
 // on their tables' executors; the phase-3 action needs both their outputs.
 // When delivered is non-nil it receives the number of delivered orders after

@@ -3,8 +3,10 @@ package tpcc
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"dora/internal/dora"
 	"dora/internal/engine"
 	"dora/internal/storage"
 	"dora/internal/workload"
@@ -199,14 +201,9 @@ func TestStockLevelBothModesAgree(t *testing.T) {
 		}
 		e.Commit(txn)
 
-		var low int64
-		tx := d.stockLevelFlow(sys, in, &low)
-		if tx.NumPhases() != 3 || tx.NumActions() != 5 {
-			t.Fatalf("StockLevel flow graph = %d phases / %d actions, want 3 phases, 3 work actions + 2 claims",
-				tx.NumPhases(), tx.NumActions())
-		}
-		if err := tx.Run(); err != nil {
-			t.Fatalf("stockLevelFlow(%+v): %v", in, err)
+		low, err := d.stockLevelSnapshot(sys, in)
+		if err != nil {
+			t.Fatalf("stockLevelSnapshot(%+v): %v", in, err)
 		}
 		if low != conv {
 			t.Fatalf("low-stock count differs: conventional=%d dora=%d (%+v)", conv, low, in)
@@ -225,26 +222,15 @@ func TestStockLevelBothModesAgree(t *testing.T) {
 	}
 }
 
+// TestFiveTransactionMixBothSystems runs the five-transaction mix on both
+// execution systems from one client, and on DORA from 4 concurrent ones (800
+// transactions), gating each run on the §3.3.2 consistency checker. The
+// Baseline stays single-client: a concurrent Baseline TPC-C run can fail a
+// deadlock victim's rollback ("page full") and latch the engine Failed.
 func TestFiveTransactionMixBothSystems(t *testing.T) {
 	for _, withDORA := range []bool{false, true} {
 		d, e, sys := newLoaded(t, withDORA)
-		rng := rand.New(rand.NewSource(31))
-		committed := map[string]int{}
-		for i := 0; i < 500; i++ {
-			kind := d.Mix().Pick(rng)
-			var err error
-			if withDORA {
-				err = d.RunDORA(sys, kind, rng, 0)
-			} else {
-				err = d.RunBaseline(e, kind, rng, 0)
-			}
-			if err != nil && !errors.Is(err, workload.ErrAborted) {
-				t.Fatalf("%s (dora=%v): %v", kind, withDORA, err)
-			}
-			if err == nil {
-				committed[kind]++
-			}
-		}
+		committed := runClients(t, d, e, sys, 1, 500)
 		for _, k := range []string{Payment, OrderStatus, NewOrder, Delivery, StockLevel} {
 			if committed[k] == 0 {
 				t.Fatalf("kind %s never committed (dora=%v): %v", k, withDORA, committed)
@@ -254,6 +240,57 @@ func TestFiveTransactionMixBothSystems(t *testing.T) {
 			t.Fatalf("invariants after mix (dora=%v): %v", withDORA, err)
 		}
 	}
+	d, e, sys := newLoaded(t, true)
+	if committed := runClients(t, d, e, sys, 4, 200); len(committed) == 0 {
+		t.Fatal("concurrent DORA mix committed nothing")
+	}
+	if err := d.Check(e); err != nil {
+		t.Fatalf("invariants after concurrent DORA mix: %v", err)
+	}
+}
+
+// runKind runs one transaction of the given kind as worker w: through DORA
+// when sys is non-nil, conventionally otherwise.
+func runKind(d *Driver, e *engine.Engine, sys *dora.System, kind string, rng *rand.Rand, w int) error {
+	if sys != nil {
+		return d.RunDORA(sys, kind, rng, w)
+	}
+	return d.RunBaseline(e, kind, rng, w)
+}
+
+// runClients drives the driver's mix from workers concurrent clients,
+// perWorker transactions each (see runKind). Aborts are expected; any other
+// error fails the test. It returns the commits per transaction kind.
+func runClients(t *testing.T, d *Driver, e *engine.Engine, sys *dora.System, workers, perWorker int) map[string]int {
+	t.Helper()
+	var mu sync.Mutex
+	committed := map[string]int{}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(31 + int64(w)*7919))
+			for i := 0; i < perWorker; i++ {
+				kind := d.Mix().Pick(rng)
+				err := runKind(d, e, sys, kind, rng, w)
+				if err != nil && !errors.Is(err, workload.ErrAborted) {
+					t.Errorf("%s (dora=%v, worker %d): %v", kind, sys != nil, w, err)
+					return
+				}
+				if err == nil {
+					mu.Lock()
+					committed[kind]++
+					mu.Unlock()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	return committed
 }
 
 func TestCheckDetectsCorruption(t *testing.T) {

@@ -3,39 +3,13 @@ package tpcc
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
-	"time"
 
-	"dora/internal/dora"
 	"dora/internal/engine"
 	"dora/internal/storage"
 	"dora/internal/workload"
 )
-
-// newLoadedWith builds a small TPC-C database and a DORA system with the
-// given runtime configuration (serial vs parallel secondaries).
-func newLoadedWith(t testing.TB, cfg dora.Config) (*Driver, *engine.Engine, *dora.System) {
-	t.Helper()
-	d := New(2)
-	d.CustomersPerDistrict = 30
-	d.Items = 100
-	e := engine.New(engine.Config{BufferPoolFrames: 4096})
-	if err := d.CreateTables(e); err != nil {
-		t.Fatalf("CreateTables: %v", err)
-	}
-	if err := d.Load(e, rand.New(rand.NewSource(1))); err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if cfg.TxnTimeout == 0 {
-		cfg.TxnTimeout = 10 * time.Second
-	}
-	sys := dora.NewSystem(e, cfg)
-	if err := d.BindDORA(sys, 2); err != nil {
-		t.Fatalf("BindDORA: %v", err)
-	}
-	t.Cleanup(sys.Stop)
-	return d, e, sys
-}
 
 // customerState snapshots the mutable Payment fields of every customer.
 func customerState(t *testing.T, e *engine.Engine) map[string][3]float64 {
@@ -54,134 +28,135 @@ func customerState(t *testing.T, e *engine.Engine) map[string][3]float64 {
 }
 
 // TestPaymentByNameModeEquivalence runs the same deterministic by-name
-// Payment sequence three ways — conventionally, as DORA flows with parallel
-// secondaries, and as DORA flows forced serial — and demands identical final
-// customer state: the resolve-then-forward path must select and update
+// Payment sequence conventionally and as DORA flows and demands identical
+// final customer state: the resolve-then-forward path must select and update
 // exactly the customers the spec's by-name rule picks.
 func TestPaymentByNameModeEquivalence(t *testing.T) {
 	const txns = 120
 	var states []map[string][3]float64
-	for _, mode := range []struct {
-		name   string
-		dora   bool
-		serial bool
-	}{
-		{"Conventional", false, false},
-		{"DORA-Parallel", true, false},
-		{"DORA-Serial", true, true},
-	} {
-		d, e, sys := newLoadedWith(t, dora.Config{SerialSecondaries: mode.serial})
+	for _, withDORA := range []bool{false, true} {
+		d, e, sys := newLoaded(t, withDORA)
 		d.ByNamePercent = 100
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < txns; i++ {
-			var err error
-			if mode.dora {
-				err = d.RunDORA(sys, Payment, rng, 0)
-			} else {
-				err = d.RunBaseline(e, Payment, rng, 0)
-			}
+			err := runKind(d, e, sys, Payment, rng, 0)
 			if err != nil && !errors.Is(err, workload.ErrAborted) {
-				t.Fatalf("%s payment %d: %v", mode.name, i, err)
+				t.Fatalf("dora=%v payment %d: %v", withDORA, i, err)
 			}
 		}
 		if err := d.Check(e); err != nil {
-			t.Fatalf("%s invariants: %v", mode.name, err)
+			t.Fatalf("dora=%v invariants: %v", withDORA, err)
 		}
 		states = append(states, customerState(t, e))
 	}
-	for i := 1; i < len(states); i++ {
-		if len(states[i]) != len(states[0]) {
-			t.Fatalf("mode %d has %d customers, mode 0 has %d", i, len(states[i]), len(states[0]))
-		}
-		for k, v := range states[0] {
-			if states[i][k] != v {
-				t.Fatalf("customer %s diverged: mode 0 %v, mode %d %v", k, v, i, states[i][k])
-			}
+	if len(states[1]) != len(states[0]) {
+		t.Fatalf("DORA has %d customers, conventional %d", len(states[1]), len(states[0]))
+	}
+	for k, v := range states[0] {
+		if states[1][k] != v {
+			t.Fatalf("customer %s diverged: conventional %v, DORA %v", k, v, states[1][k])
 		}
 	}
 }
 
-// TestOrderStatusByNameModeEquivalence: the by-name OrderStatus flow must
-// succeed and resolve the same customers under parallel and serial
-// secondaries (it is read-only, so equivalence is absence of errors plus an
-// unchanged database).
+// TestOrderStatusByNameModeEquivalence: the same by-name OrderStatus
+// sequences commit the same number of times conventionally and as DORA flows,
+// and (being read-only) leave every customer unchanged. Serial runs one
+// client; Parallel runs several concurrent clients, each with its own
+// sequence, so by-name resolutions and forwards interleave.
 func TestOrderStatusByNameModeEquivalence(t *testing.T) {
-	const txns = 80
-	for _, serial := range []bool{false, true} {
-		name := "Parallel"
-		if serial {
-			name = "Serial"
+	t.Run("Serial", func(t *testing.T) { checkOrderStatusByName(t, 1, 80) })
+	t.Run("Parallel", func(t *testing.T) { checkOrderStatusByName(t, 4, 30) })
+}
+
+// checkOrderStatusByName runs perClient by-name OrderStatus transactions from
+// each of clients concurrent clients, once conventionally and once through
+// DORA, and compares the commits per client.
+func checkOrderStatusByName(t *testing.T, clients, perClient int) {
+	ran := make([][]int, 2)
+	for i, withDORA := range []bool{false, true} {
+		d, e, sys := newLoaded(t, withDORA)
+		d.ByNamePercent = 100
+		before := customerState(t, e)
+		ran[i] = make([]int, clients)
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(7 + int64(c)*7919))
+				for j := 0; j < perClient; j++ {
+					err := runKind(d, e, sys, OrderStatus, rng, c)
+					if err == nil {
+						ran[i][c]++
+					} else if !errors.Is(err, workload.ErrAborted) {
+						t.Errorf("dora=%v client %d orderStatus %d: %v", withDORA, c, j, err)
+						return
+					}
+				}
+			}(c)
 		}
-		t.Run(name, func(t *testing.T) {
-			d, e, sys := newLoadedWith(t, dora.Config{SerialSecondaries: serial})
-			d.ByNamePercent = 100
-			before := customerState(t, e)
-			rng := rand.New(rand.NewSource(7))
-			ran := 0
-			for i := 0; i < txns; i++ {
-				err := d.RunDORA(sys, OrderStatus, rng, 0)
-				if err == nil {
-					ran++
-				} else if !errors.Is(err, workload.ErrAborted) {
-					t.Fatalf("orderStatus %d: %v", i, err)
-				}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		after := customerState(t, e)
+		for k, v := range before {
+			if after[k] != v {
+				t.Fatalf("dora=%v: read-only OrderStatus mutated customer %s: %v -> %v", withDORA, k, v, after[k])
 			}
-			if ran == 0 {
-				t.Fatalf("no OrderStatus committed")
-			}
-			after := customerState(t, e)
-			for k, v := range before {
-				if after[k] != v {
-					t.Fatalf("read-only OrderStatus mutated customer %s: %v -> %v", k, v, after[k])
-				}
-			}
-		})
+		}
+	}
+	for c := 0; c < clients; c++ {
+		if ran[0][c] == 0 || ran[0][c] != ran[1][c] {
+			t.Fatalf("client %d committed OrderStatus: conventional %d, DORA %d; want equal and nonzero", c, ran[0][c], ran[1][c])
+		}
 	}
 }
 
 // TestDeliveryParallelProbesEquivalence seeds undelivered orders and runs the
-// same Delivery sequence under parallel and serial secondaries; both must
-// deliver the same orders and leave states that pass the invariant checker.
+// same NewOrder/Delivery sequence conventionally and as DORA flows, whose
+// per-district probes share one phase; both must deliver the same orders and
+// leave states that pass the invariant checker.
 func TestDeliveryParallelProbesEquivalence(t *testing.T) {
-	counts := make([]int, 2)
-	for i, serial := range []bool{false, true} {
-		d, e, sys := newLoadedWith(t, dora.Config{SerialSecondaries: serial})
+	var counts [2]int
+	for i, withDORA := range []bool{false, true} {
+		d, e, sys := newLoaded(t, withDORA)
 		rng := rand.New(rand.NewSource(31))
 		for j := 0; j < 40; j++ {
 			kind := NewOrder
 			if j%4 == 3 {
 				kind = Delivery
 			}
-			if err := d.RunDORA(sys, kind, rng, 0); err != nil && !errors.Is(err, workload.ErrAborted) {
-				t.Fatalf("serial=%v txn %d (%s): %v", serial, j, kind, err)
+			err := runKind(d, e, sys, kind, rng, 0)
+			if err != nil && !errors.Is(err, workload.ErrAborted) {
+				t.Fatalf("dora=%v txn %d (%s): %v", withDORA, j, kind, err)
 			}
 		}
 		if err := d.Check(e); err != nil {
-			t.Fatalf("serial=%v invariants: %v", serial, err)
+			t.Fatalf("dora=%v invariants: %v", withDORA, err)
 		}
 		// Count the remaining undelivered orders; the deterministic sequence
-		// must leave the same number in both modes.
+		// must leave the same number on both paths.
 		txn := e.Begin()
-		remaining := 0
 		if err := e.ScanTable(txn, "NEW_ORDER", engine.Conventional(), func(storage.Tuple) bool {
-			remaining++
+			counts[i]++
 			return true
 		}); err != nil {
 			t.Fatal(err)
 		}
 		e.Commit(txn)
-		counts[i] = remaining
 	}
 	if counts[0] != counts[1] {
-		t.Fatalf("undelivered orders diverged: parallel %d, serial %d", counts[0], counts[1])
+		t.Fatalf("undelivered orders diverged: conventional %d, DORA %d", counts[0], counts[1])
 	}
 }
 
-// TestSecondaryHeavyMixUsesResolvers sanity-checks the wiring: a by-name
-// heavy mix on the default configuration actually routes secondary work to
-// the resolver pool and forwards primary actions.
-func TestSecondaryHeavyMixUsesResolvers(t *testing.T) {
-	d, _, sys := newLoadedWith(t, dora.Config{})
+// TestSecondaryHeavyMixForwards sanity-checks the wiring: a by-name heavy mix
+// runs its secondary actions inline on the RVP threads and forwards primary
+// actions to the owning executors.
+func TestSecondaryHeavyMixForwards(t *testing.T) {
+	d, _, sys := newLoaded(t, true)
 	d.ByNamePercent = 100
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 30; i++ {
@@ -196,13 +171,10 @@ func TestSecondaryHeavyMixUsesResolvers(t *testing.T) {
 		}
 	}
 	st := sys.Stats()
-	if st.SecondariesParallel == 0 {
-		t.Fatalf("no secondary actions reached the resolver pool: %+v", st)
+	if st.SecondariesInline == 0 || st.SecondariesParallel != 0 {
+		t.Fatalf("secondary actions: inline %d, parallel %d; want inline only", st.SecondariesInline, st.SecondariesParallel)
 	}
 	if st.ActionsForwarded == 0 {
 		t.Fatalf("no actions forwarded: %+v", st)
-	}
-	if st.SecondariesInline != 0 {
-		t.Fatalf("parallel mode ran %d secondaries inline", st.SecondariesInline)
 	}
 }

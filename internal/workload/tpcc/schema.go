@@ -8,7 +8,6 @@ package tpcc
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 
 	"dora/internal/dora"
@@ -51,41 +50,20 @@ type Driver struct {
 	// makes the mix secondary-heavy.
 	ByNamePercent int
 
-	// WarehouseZipfTheta, when positive, draws warehouse ids from a zipfian
-	// distribution with that theta instead of uniformly — the skewed
-	// hot-warehouse scenario. Set it before the first transaction runs.
-	WarehouseZipfTheta float64
-
 	// WarehouseHotspot, when set, draws warehouse ids from the hotspot
-	// generator (value v maps to warehouse v+1) and takes precedence over
-	// WarehouseZipfTheta. Unlike the zipfian, the hot window can be moved
-	// mid-run (Hotspot.Shift / ShiftAt), which is what the skew benchmark
-	// uses to relocate the hot warehouses at t/2.
+	// generator (value v maps to warehouse v+1) instead of uniformly. The
+	// hot window can be moved mid-run (Hotspot.Shift), which is how the
+	// balancer stress test relocates the hot warehouses.
 	WarehouseHotspot *workload.Hotspot
-
-	// LockedStockLevel runs DORA StockLevel through the flow-graph path with
-	// warehouse-wide shared claims on ORDER_LINE and STOCK (the pre-snapshot
-	// behavior) instead of the epoch-pinned snapshot scan. Kept for the A/B
-	// arm of the HTAP benchmark; the default (false) never blocks writers.
-	LockedStockLevel bool
-
-	zipfOnce sync.Once
-	zipf     *workload.Zipfian
 
 	historyID atomic.Int64
 }
 
-// pickWarehouse draws a warehouse id: hotspot-skewed, zipf-skewed, or
-// uniform, in that order of precedence.
+// pickWarehouse draws a warehouse id: hotspot-skewed when a hotspot is set,
+// uniform otherwise.
 func (d *Driver) pickWarehouse(rng *rand.Rand) int64 {
 	if d.WarehouseHotspot != nil {
 		return 1 + d.WarehouseHotspot.Next(rng)
-	}
-	if d.WarehouseZipfTheta > 0 && d.Warehouses > 1 {
-		d.zipfOnce.Do(func() {
-			d.zipf = workload.NewZipfian(d.Warehouses, d.WarehouseZipfTheta)
-		})
-		return 1 + d.zipf.Next(rng)
 	}
 	return 1 + rng.Int63n(d.Warehouses)
 }

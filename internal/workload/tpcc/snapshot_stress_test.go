@@ -112,7 +112,7 @@ func TestSnapshotAggregationStress(t *testing.T) {
 
 // TestStockLevelSnapshotMatchesConventional checks the snapshot StockLevel
 // path returns the same counts as the conventional locked path on a quiescent
-// database, and that the locked-mode flag still routes through the flow graph.
+// database, and that the DORA dispatch runs it.
 func TestStockLevelSnapshotMatchesConventional(t *testing.T) {
 	d, e, sys := newLoaded(t, true)
 
@@ -136,23 +136,9 @@ func TestStockLevelSnapshotMatchesConventional(t *testing.T) {
 		if got != want {
 			t.Fatalf("StockLevel(%+v): snapshot=%d conventional=%d", in, got, want)
 		}
-
-		var low int64
-		if err := d.stockLevelFlow(sys, in, &low).Run(); err != nil {
-			t.Fatalf("flow StockLevel: %v", err)
-		}
-		if low != want {
-			t.Fatalf("StockLevel(%+v): flow=%d conventional=%d", in, low, want)
-		}
 	}
 
-	// The dispatch honors the locked-mode flag both ways.
-	d.LockedStockLevel = true
-	if err := d.stockLevelDORA(sys, d.genStockLevel(rng)); err != nil {
-		t.Fatalf("locked dispatch: %v", err)
-	}
-	d.LockedStockLevel = false
-	if err := d.stockLevelDORA(sys, d.genStockLevel(rng)); err != nil {
-		t.Fatalf("snapshot dispatch: %v", err)
+	if err := d.RunDORA(sys, StockLevel, rng, 0); err != nil {
+		t.Fatalf("DORA StockLevel: %v", err)
 	}
 }

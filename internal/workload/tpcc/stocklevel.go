@@ -1,7 +1,6 @@
 package tpcc
 
 import (
-	"errors"
 	"math/rand"
 
 	"dora/internal/dora"
@@ -81,9 +80,9 @@ func countLowStock(items map[int64]struct{}, in stockLevelInput, probe func(stor
 // outside the executors entirely: the ranged ORDER_LINE scan and the STOCK
 // probes take no local-lock-table entries and no incoming-queue latches, so
 // the transaction never contends with NewOrder/Payment writers and writers
-// never wait on it. All reads resolve at the same commit epoch, which is
-// strictly stronger than the flow-graph variant's isolation (that one holds
-// shared claims across phases). This is the default DORA StockLevel path.
+// never wait on it. All reads resolve at the same commit epoch, so the count
+// comes from one consistent image of the database. It is the DORA StockLevel
+// path.
 func (d *Driver) stockLevelSnapshot(sys *dora.System, in stockLevelInput) (int64, error) {
 	var low int64
 	err := sys.WithSnapshot(func(snap *engine.Snapshot) error {
@@ -107,93 +106,4 @@ func (d *Driver) stockLevelSnapshot(sys *dora.System, in stockLevelInput) (int64
 		return err
 	})
 	return low, err
-}
-
-// stockLevelFlow builds the StockLevel flow graph: a district probe feeding a
-// ranged ORDER_LINE scan feeding a ranged STOCK count, each phase's output
-// carried across the RVP through the shared map:
-//
-//	phase 0: DISTRICT[w]    read d_next_o_id          -> shared "next_o_id"
-//	phase 0: lock claims on ORDER_LINE[w], STOCK[w]
-//	---- RVP1 ----
-//	phase 1: ORDER_LINE[w]  distinct items of the last
-//	                        20 orders of the district -> shared "items"
-//	---- RVP2 ----
-//	phase 2: STOCK[w]       count items below the threshold
-//	---- terminal RVP: commit ----
-//
-// STOCK routes on the warehouse id, so the whole warehouse's stock is one
-// dataset and the count phase is a single ranged action on its executor (a
-// table spanning several datasets would use a Broadcast action instead). When
-// low is non-nil it receives the low-stock count after the flow commits.
-//
-// The phase-0 warehouse-wide shared claims on ORDER_LINE and STOCK are what
-// this path costs: every NewOrder against the warehouse serializes behind
-// them. The flow is retained only as the locked A/B arm of the HTAP
-// benchmark (Driver.LockedStockLevel); the default DORA dispatch uses
-// stockLevelSnapshot, which needs no claims at all.
-func (d *Driver) stockLevelFlow(sys *dora.System, in stockLevelInput, low *int64) *dora.Transaction {
-	tx := sys.NewTransaction()
-	claim(tx, "ORDER_LINE", ik(in.wID), dora.Shared)
-	claim(tx, "STOCK", ik(in.wID), dora.Shared)
-	tx.Add(0, &dora.Action{
-		Table: "DISTRICT", Key: ik(in.wID), Mode: dora.Shared,
-		Work: func(s *dora.Scope) error {
-			rec, err := s.Probe("DISTRICT", ik(in.wID, in.dID))
-			if err != nil {
-				return err
-			}
-			s.Put("next_o_id", rec[5].Int)
-			return nil
-		},
-	})
-	tx.Add(1, &dora.Action{
-		Table: "ORDER_LINE", Key: ik(in.wID), Mode: dora.Shared,
-		Work: func(s *dora.Scope) error {
-			v, ok := s.Get("next_o_id")
-			if !ok {
-				return errors.New("tpcc: stock-level district phase did not run")
-			}
-			lo, hi := recentOrderRange(v.(int64))
-			items := make(map[int64]struct{})
-			for o := lo; o < hi; o++ {
-				if err := s.ScanPrefix("ORDER_LINE", ik(in.wID, in.dID, o), func(tu storage.Tuple) bool {
-					items[tu[4].Int] = struct{}{}
-					return true
-				}); err != nil {
-					return err
-				}
-			}
-			s.Put("items", items)
-			return nil
-		},
-	})
-	tx.Add(2, &dora.Action{
-		Table: "STOCK", Key: ik(in.wID), Mode: dora.Shared,
-		Work: func(s *dora.Scope) error {
-			v, ok := s.Get("items")
-			if !ok {
-				return errors.New("tpcc: stock-level order-line phase did not run")
-			}
-			n, err := countLowStock(v.(map[int64]struct{}), in, func(pk storage.Key) (storage.Tuple, error) {
-				return s.Probe("STOCK", pk)
-			})
-			if err != nil {
-				return err
-			}
-			if low != nil {
-				*low = n
-			}
-			return nil
-		},
-	})
-	return tx
-}
-
-func (d *Driver) stockLevelDORA(sys *dora.System, in stockLevelInput) error {
-	if d.LockedStockLevel {
-		return d.stockLevelFlow(sys, in, nil).Run()
-	}
-	_, err := d.stockLevelSnapshot(sys, in)
-	return err
 }

@@ -20,6 +20,9 @@ func newLoaded(t testing.TB, withDORA bool) (*Driver, *engine.Engine, *dora.Syst
 	d.CustomersPerDistrict = 30
 	d.Items = 100
 	e := engine.New(engine.Config{BufferPoolFrames: 4096})
+	// Each engine runs a background pruner; close it so repeated runs
+	// (-count) do not pile up pruners that starve the next run's CPU.
+	t.Cleanup(func() { e.Close() })
 	if err := d.CreateTables(e); err != nil {
 		t.Fatalf("CreateTables: %v", err)
 	}

@@ -180,7 +180,7 @@ func (d *Driver) RunDORA(sys *dora.System, kind string, rng *rand.Rand, workerID
 	case Delivery:
 		err = d.deliveryDORA(sys, d.genDelivery(rng))
 	case StockLevel:
-		err = d.stockLevelDORA(sys, d.genStockLevel(rng))
+		_, err = d.stockLevelSnapshot(sys, d.genStockLevel(rng))
 	default:
 		return fmt.Errorf("tpcc: unknown transaction kind %q", kind)
 	}
@@ -278,7 +278,7 @@ func applyPayment(amount float64) func(storage.Tuple) (storage.Tuple, error) {
 // When the customer is selected by last name (60% of Payments, §2.5.1.2) the
 // flow instead uses a secondary action (§4.2.2): phase 0 runs the Warehouse
 // and District updates and claims the Customer lock, phase 1 resolves the
-// customer through the by-name index on a resolver thread and forwards the
+// customer through the by-name index on the RVP thread and forwards the
 // balance update to the executor owning the customer's warehouse
 // (resolve-then-forward), and phase 2 inserts the History row. The forwarded
 // action re-acquires the phase-0 claim reentrantly, so the out-of-band
