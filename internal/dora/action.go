@@ -44,7 +44,7 @@ type Action struct {
 }
 
 // Scope is the execution context handed to an action body: engine operations
-// pre-bound to the transaction and to DORA's access options, plus a shared
+// pre-bound to the transaction and to its access options, plus a shared
 // key/value area used to pass data between actions across rendezvous points.
 type Scope struct {
 	flow     *Transaction
@@ -52,81 +52,80 @@ type Scope struct {
 	// phase is the flow-graph phase the action belongs to; forwarded actions
 	// join this phase's RVP.
 	phase int
-	// worker attributes engine accesses (time, lock stats, traces) to the
-	// executing thread: the executor's global ordinal for routed actions and
-	// for secondaries run on an executor's RVP thread, and -1 for secondaries
-	// run by the dispatcher.
-	worker int
+	// read is the access option of probes, updates, lookups and scans, write
+	// that of inserts and deletes: DORA's (no centralized locking, row locks
+	// only) on executors, engine.Conventional() under RunConventional. Both
+	// carry the worker id that attributes engine accesses (time, lock stats,
+	// traces) to the executing thread: the executor's global ordinal for
+	// routed actions and for secondaries run on an executor's RVP thread, -1
+	// for secondaries run by the dispatcher, and the caller's id under
+	// RunConventional.
+	read, write engine.AccessOptions
+}
+
+// newScope returns the DORA scope of an action of the given phase run by
+// worker (see Scope.read).
+func (t *Transaction) newScope(ex *Executor, phase, worker int) *Scope {
+	read, write := engine.DORARead(), engine.DORAInsertDelete()
+	read.WorkerID, write.WorkerID = worker, worker
+	return &Scope{flow: t, executor: ex, phase: phase, read: read, write: write}
 }
 
 // Executor returns the executor running the action, or nil for secondary
-// actions, which run on the RVP thread.
+// actions, which run on the RVP thread, and under RunConventional.
 func (s *Scope) Executor() *Executor { return s.executor }
 
-func (s *Scope) workerID() int { return s.worker }
-
-func (s *Scope) readOpts() engine.AccessOptions {
-	opt := engine.DORARead()
-	opt.WorkerID = s.workerID()
-	return opt
-}
-
-func (s *Scope) writeOpts() engine.AccessOptions {
-	opt := engine.DORAInsertDelete()
-	opt.WorkerID = s.workerID()
-	return opt
-}
-
-// Probe reads the record with the given primary key without centralized
-// locking; isolation comes from the executor's local lock.
+// Probe reads the record with the given primary key. Under DORA it takes no
+// centralized lock; isolation comes from the executor's local lock.
 func (s *Scope) Probe(table string, pk storage.Key) (storage.Tuple, error) {
-	return s.flow.sys.eng.Probe(s.flow.txn, table, pk, s.readOpts())
+	return s.flow.eng.Probe(s.flow.txn, table, pk, s.read)
 }
 
 // ProbeRID reads the record at rid (the path used after secondary lookups).
 func (s *Scope) ProbeRID(table string, rid storage.RID) (storage.Tuple, error) {
-	return s.flow.sys.eng.ProbeRID(s.flow.txn, table, rid, s.readOpts())
+	return s.flow.eng.ProbeRID(s.flow.txn, table, rid, s.read)
 }
 
 // Update applies fn to the record with the given primary key.
 func (s *Scope) Update(table string, pk storage.Key, fn func(storage.Tuple) (storage.Tuple, error)) error {
-	return s.flow.sys.eng.Update(s.flow.txn, table, pk, s.readOpts(), fn)
+	return s.flow.eng.Update(s.flow.txn, table, pk, s.read, fn)
 }
 
 // UpdateRID applies fn to the record at rid.
 func (s *Scope) UpdateRID(table string, rid storage.RID, fn func(storage.Tuple) (storage.Tuple, error)) error {
-	return s.flow.sys.eng.UpdateRID(s.flow.txn, table, rid, s.readOpts(), fn)
+	return s.flow.eng.UpdateRID(s.flow.txn, table, rid, s.read, fn)
 }
 
-// Insert adds a record; the new RID is locked through the centralized lock
-// manager (row lock only) to coordinate slot reuse across executors (§4.2.1).
+// Insert adds a record. Under DORA the new RID is locked through the
+// centralized lock manager (row lock only) to coordinate slot reuse across
+// executors (§4.2.1).
 func (s *Scope) Insert(table string, tuple storage.Tuple) (storage.RID, error) {
-	return s.flow.sys.eng.Insert(s.flow.txn, table, tuple, s.writeOpts())
+	return s.flow.eng.Insert(s.flow.txn, table, tuple, s.write)
 }
 
-// Delete removes the record with the given primary key, also taking the
-// centralized row lock (§4.2.1).
+// Delete removes the record with the given primary key, under DORA also
+// taking the centralized row lock (§4.2.1).
 func (s *Scope) Delete(table string, pk storage.Key) error {
-	return s.flow.sys.eng.Delete(s.flow.txn, table, pk, s.writeOpts())
+	return s.flow.eng.Delete(s.flow.txn, table, pk, s.write)
 }
 
 // SecondaryLookup probes a secondary index, returning the matching RIDs and
 // their routing-field keys (stored in the index leaves per §4.2.2).
 func (s *Scope) SecondaryLookup(table, index string, key storage.Key) ([]engine.IndexMatch, error) {
-	return s.flow.sys.eng.SecondaryLookup(s.flow.txn, table, index, key, s.readOpts())
+	return s.flow.eng.SecondaryLookup(s.flow.txn, table, index, key, s.read)
 }
 
 // Scan visits the live records of the table in primary-key order. It is meant
-// for Broadcast actions; the scan itself relies on the broadcast's
+// for Broadcast actions; under DORA the scan relies on the broadcast's
 // whole-dataset local locks rather than a centralized table lock.
 func (s *Scope) Scan(table string, fn func(storage.Tuple) bool) error {
-	return s.flow.sys.eng.ScanTable(s.flow.txn, table, s.readOpts(), fn)
+	return s.flow.eng.ScanTable(s.flow.txn, table, s.read, fn)
 }
 
 // ScanPrefix visits the live records whose primary key starts with the given
 // prefix (for example one subscriber's call-forwarding rows).
 func (s *Scope) ScanPrefix(table string, prefix storage.Key, fn func(storage.Tuple) bool) error {
-	return s.flow.sys.eng.ScanPrefix(s.flow.txn, table, prefix, s.readOpts(), fn)
+	return s.flow.eng.ScanPrefix(s.flow.txn, table, prefix, s.read, fn)
 }
 
 // Put stores a value in the transaction's shared area, used to pass data from
@@ -163,9 +162,10 @@ func (s *Scope) Txn() *engine.Txn { return s.flow.txn }
 // submission; to stay deadlock-free, forward with an identifier the
 // transaction already claimed in its first atomic submission (the TPC-C
 // flows forward with the routing-prefix key of their phase-0 claims, which
-// re-acquires reentrantly).
+// re-acquires reentrantly). Under RunConventional the forwarded action runs
+// inline, in the same engine transaction, before Forward returns.
 func (s *Scope) Forward(a *Action) error {
-	return s.flow.forward(a, s.phase)
+	return s.flow.forward(a, s)
 }
 
 // boundAction is an action bound to its transaction and phase, the unit that

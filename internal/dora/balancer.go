@@ -154,7 +154,6 @@ func (b *Balancer) EventCount() int {
 // boundary move per table. It is the unit the ticker drives and the entry
 // point stress tests call directly.
 func (b *Balancer) Tick() {
-	var maxImbalance float64
 	for table, p := range b.pm.snapshot() {
 		rt := p.cur.Load()
 		if p.hist == nil || !rt.intKeys || len(rt.executors) < 2 {
@@ -177,9 +176,6 @@ func (b *Balancer) Tick() {
 			boundsBk[i] = p.hist.bucketOf(v)
 		}
 		move, imbalance := planMove(st.ewma, boundsBk, b.cfg)
-		if imbalance > maxImbalance {
-			maxImbalance = imbalance
-		}
 		if st.cooldown > 0 {
 			st.cooldown--
 			continue
@@ -211,9 +207,6 @@ func (b *Balancer) Tick() {
 		st.cooldown = b.cfg.Cooldown
 		b.events = append(b.events, ev)
 		b.mu.Unlock()
-	}
-	if col := b.pm.sys.collector(); col != nil {
-		col.SetImbalance(maxImbalance)
 	}
 }
 

@@ -524,8 +524,7 @@ func (e *Executor) execute(a *boundAction) {
 	if !flow.beginExec() {
 		return
 	}
-	scope := &Scope{flow: flow, executor: e, phase: a.phase, worker: e.global}
-	err := a.action.Work(scope)
+	err := a.action.Work(flow.newScope(e, a.phase, e.global))
 	flow.endExec()
 	if err != nil {
 		flow.fail(err)

@@ -212,7 +212,7 @@ func TestSecondaryWorkerAttribution(t *testing.T) {
 	tx.Add(0, &Action{
 		Table: "accounts", Mode: Shared,
 		Work: func(s *Scope) error {
-			phase0Worker = s.workerID()
+			phase0Worker = s.read.WorkerID
 			return nil
 		},
 	})
@@ -231,14 +231,14 @@ func TestSecondaryWorkerAttribution(t *testing.T) {
 	tx.Add(0, &Action{
 		Table: "accounts", Key: key(1), Mode: Shared,
 		Work: func(s *Scope) error {
-			rvpWorker = s.workerID()
+			rvpWorker = s.read.WorkerID
 			return nil
 		},
 	})
 	tx.Add(1, &Action{
 		Table: "accounts", Mode: Shared,
 		Work: func(s *Scope) error {
-			phase1Worker = s.workerID()
+			phase1Worker = s.read.WorkerID
 			_, err := s.Probe("accounts", accountPK(3, 0))
 			return err
 		},

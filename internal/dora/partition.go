@@ -263,9 +263,6 @@ func (pm *PartitionManager) bind(table string, boundaries []storage.Key, intKeys
 	}
 	next[table] = p
 	pm.tables.Store(&next)
-	if col := pm.sys.collector(); col != nil {
-		col.SetPartitionVersion(rt.version)
-	}
 
 	// Start the new executors only after the partition is published, and stop
 	// the replaced ones last so in-flight actions drain into live goroutines.
@@ -343,7 +340,6 @@ func (pm *PartitionManager) MoveBoundary(table string, boundary int, newKey stor
 	p.cur.Store(nrt)
 	pm.moves.Add(1)
 	if col := pm.sys.collector(); col != nil {
-		col.SetPartitionVersion(nrt.version)
 		col.AddBoundaryMove()
 	}
 	pm.mu.Unlock()

@@ -45,6 +45,9 @@ var (
 // phases, executed collectively by the executors owning the touched data.
 type Transaction struct {
 	sys *System
+	// eng is the engine the actions access: the System's, or the one
+	// RunConventional runs the flow on.
+	eng *engine.Engine
 	txn *engine.Txn
 
 	phases [][]*Action
@@ -95,6 +98,7 @@ type Transaction struct {
 func (s *System) NewTransaction() *Transaction {
 	return &Transaction{
 		sys:          s,
+		eng:          s.eng,
 		done:         make(chan struct{}),
 		participants: participantsPool.Get().(map[*Executor]struct{}),
 	}
@@ -259,7 +263,7 @@ func (t *Transaction) start_() error {
 	if t.budget > 0 {
 		t.deadline = t.start.Add(t.budget)
 	}
-	t.txn = t.sys.eng.Begin()
+	t.txn = t.eng.Begin()
 	t.rvpBuf = rvpSlicePool.Get().(*[]rvp)
 	if s := *t.rvpBuf; cap(s) >= len(t.phases) {
 		s = s[:len(t.phases)]
@@ -396,7 +400,7 @@ func (t *Transaction) submitPhase(idx, worker int) {
 		}
 		t.sys.statSecondaryInline.Add(1)
 		c := t.rvpClockStart()
-		err := ba.action.Work(&Scope{flow: t, phase: idx, worker: worker})
+		err := ba.action.Work(t.newScope(nil, idx, worker))
 		t.rvpClockStop(c)
 		t.endExec()
 		if err != nil {
@@ -409,17 +413,23 @@ func (t *Transaction) submitPhase(idx, worker int) {
 	}
 }
 
-// forward attaches a follow-on primary action to the given (still-open) phase
-// and enqueues it to the executor owning its routing key; see Scope.Forward.
-// The RVP increment happens before the enqueue and before the forwarding
-// action reports its own completion, so the phase cannot close early.
-func (t *Transaction) forward(a *Action, phase int) error {
+// forward attaches a follow-on primary action to the (still-open) phase of the
+// forwarding scope and enqueues it to the executor owning its routing key; see
+// Scope.Forward. The RVP increment happens before the enqueue and before the
+// forwarding action reports its own completion, so the phase cannot close
+// early.
+func (t *Transaction) forward(a *Action, from *Scope) error {
 	if a.Table == "" || a.Work == nil {
 		return fmt.Errorf("dora: forwarded action needs a table and a body")
 	}
 	if len(a.Key) == 0 || a.Broadcast {
 		return fmt.Errorf("dora: forwarded action must be a routed primary action")
 	}
+	if t.sys == nil {
+		// Thread-to-transaction (RunConventional): no executor to route to.
+		return a.Work(from)
+	}
+	phase := from.phase
 	if !t.running() {
 		return fmt.Errorf("dora: cannot forward, transaction is no longer running")
 	}
@@ -537,7 +547,7 @@ func (t *Transaction) finalize() {
 	// epoch) and client ack both follow this one's (engine.CommitAsync). The
 	// state already left flowRunning (CAS above), so the broadcast cannot race
 	// a completeAbort — only one of the two paths ever runs.
-	t.sys.eng.CommitAsync(t.txn, func() {
+	t.eng.CommitAsync(t.txn, func() {
 		t.broadcastCompletions()
 		if col := t.sys.collector(); col != nil {
 			col.ObserveLockHold(time.Since(t.start))
@@ -623,7 +633,7 @@ func (t *Transaction) completeAbort() {
 		return
 	}
 	if t.txn != nil {
-		_ = t.sys.eng.Abort(t.txn)
+		_ = t.eng.Abort(t.txn)
 	}
 	t.releaseAdmission()
 	t.broadcastCompletions()

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,8 +55,6 @@ type Config struct {
 	// mix pins the run to one transaction kind (as the paper's
 	// GetSubscriberData and OrderStatus experiments do).
 	Mix workload.Mix
-	// ExecutorsPerTable is the number of DORA executors per table.
-	ExecutorsPerTable int
 	// Seed seeds the per-worker random generators.
 	Seed int64
 	// SkipCheck disables the post-run invariant check (for callers that run
@@ -298,46 +295,4 @@ func (b *Bench) Run(cfg Config) Result {
 		res.InvariantErr = b.Driver.Check(b.Engine)
 	}
 	return res
-}
-
-// PeakResult is the outcome of a perfect-admission-control search (Figure 8):
-// the best throughput over a sweep of concurrency levels and the concurrency
-// (as a proxy for CPU utilization) at which it was achieved.
-type PeakResult struct {
-	Best          Result
-	WorkersAtPeak int
-	Sweep         []Result
-}
-
-// FindPeak runs the configuration at each worker count and returns the
-// highest-throughput run, modeling a perfectly tuned admission control. Runs
-// whose final state fails the workload's invariant checker stay in the sweep
-// (for diagnosis) but are never selected as the peak: a fast but wrong run is
-// not a result.
-func (b *Bench) FindPeak(cfg Config, workerCounts []int) PeakResult {
-	var out PeakResult
-	for _, w := range workerCounts {
-		c := cfg
-		c.Workers = w
-		r := b.Run(c)
-		out.Sweep = append(out.Sweep, r)
-		if r.Valid() && r.Throughput > out.Best.Throughput {
-			out.Best = r
-			out.WorkersAtPeak = w
-		}
-	}
-	return out
-}
-
-// DefaultWorkerSweep returns a reasonable worker-count sweep for the host,
-// from one client to a small multiple of GOMAXPROCS.
-func DefaultWorkerSweep() []int {
-	p := runtime.GOMAXPROCS(0)
-	sweep := []int{1, 2, 4}
-	for _, m := range []int{1, 2, 4} {
-		if v := p * m; v > 4 {
-			sweep = append(sweep, v)
-		}
-	}
-	return sweep
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"errors"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -178,74 +177,6 @@ func TestDurationBoundedRun(t *testing.T) {
 	}
 }
 
-func TestFindPeak(t *testing.T) {
-	b := setupTM1(t)
-	peak := b.FindPeak(Config{
-		System:        DORA,
-		TxnsPerWorker: 30,
-		Mix:           workload.Mix{{Name: tm1.GetSubscriberData, Weight: 100}},
-	}, []int{1, 2, 4})
-	if len(peak.Sweep) != 3 {
-		t.Fatalf("sweep has %d entries", len(peak.Sweep))
-	}
-	if peak.Best.Throughput <= 0 || peak.WorkersAtPeak == 0 {
-		t.Fatalf("no peak found: %+v", peak.Best)
-	}
-	found := false
-	for _, r := range peak.Sweep {
-		if r.Workers == peak.WorkersAtPeak && r.Throughput == peak.Best.Throughput {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("best result not part of the sweep")
-	}
-}
-
-func TestDefaultWorkerSweep(t *testing.T) {
-	sweep := DefaultWorkerSweep()
-	if len(sweep) < 3 || sweep[0] != 1 {
-		t.Fatalf("sweep = %v", sweep)
-	}
-	// Strictly increasing, bounded by 4x GOMAXPROCS.
-	for i := 1; i < len(sweep); i++ {
-		if sweep[i] <= sweep[i-1] {
-			t.Fatalf("sweep not increasing: %v", sweep)
-		}
-	}
-	if max := sweep[len(sweep)-1]; max > 4*runtime.GOMAXPROCS(0) {
-		t.Fatalf("sweep peak %d exceeds 4x GOMAXPROCS", max)
-	}
-}
-
-// TestFindPeakOverDefaultSweep exercises the worker-sweep path end to end:
-// FindPeak driven by DefaultWorkerSweep must produce one valid result per
-// sweep entry and pick the best among them.
-func TestFindPeakOverDefaultSweep(t *testing.T) {
-	b := setupTM1(t)
-	sweep := DefaultWorkerSweep()
-	peak := b.FindPeak(Config{
-		System:        Baseline,
-		TxnsPerWorker: 5,
-		Mix:           workload.Mix{{Name: tm1.GetSubscriberData, Weight: 100}},
-		Seed:          2,
-	}, sweep)
-	if len(peak.Sweep) != len(sweep) {
-		t.Fatalf("sweep produced %d results, want %d", len(peak.Sweep), len(sweep))
-	}
-	for i, r := range peak.Sweep {
-		if r.Workers != sweep[i] {
-			t.Fatalf("sweep[%d] ran %d workers, want %d", i, r.Workers, sweep[i])
-		}
-		if !r.Valid() {
-			t.Fatalf("sweep[%d] violated invariants: %v", i, r.InvariantErr)
-		}
-	}
-	if peak.Best.Throughput <= 0 {
-		t.Fatal("no peak found over the default sweep")
-	}
-}
-
 // failCheckDriver wraps a real workload but reports an invariant violation
 // from Check, standing in for a run that corrupted the database.
 type failCheckDriver struct {
@@ -271,15 +202,7 @@ func TestRunReportsInvariantViolation(t *testing.T) {
 	if !strings.Contains(res.String(), "INVARIANT-VIOLATION") {
 		t.Fatalf("String() hides the violation: %s", res.String())
 	}
-	// A violating run must never be selected as the peak.
-	peak := b.FindPeak(cfg, []int{1, 2})
-	if len(peak.Sweep) != 2 {
-		t.Fatalf("sweep has %d entries", len(peak.Sweep))
-	}
-	if peak.Best.Throughput != 0 || peak.WorkersAtPeak != 0 {
-		t.Fatalf("invalid run selected as peak: %+v", peak.Best)
-	}
-	// SkipCheck suppresses the checker for mid-sweep measurements.
+	// SkipCheck suppresses the checker for back-to-back measurements.
 	cfg.SkipCheck = true
 	if res := b.Run(cfg); res.InvariantErr != nil {
 		t.Fatalf("SkipCheck still ran the checker: %v", res.InvariantErr)

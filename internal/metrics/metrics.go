@@ -12,8 +12,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -181,10 +179,9 @@ type Collector struct {
 	aborted   atomic.Uint64
 	shed      atomic.Uint64
 
-	// Pipeline-efficiency histograms: how many messages each executor queue
-	// drain served, and how many commits each log flush made durable.
-	execBatches   Histogram
-	flushCoalesce Histogram
+	// Pipeline-efficiency histogram: how many messages each executor queue
+	// drain served.
+	execBatches Histogram
 
 	// Durability-path latency histograms, in microseconds: devWrite is the
 	// time one log-device write took (the quantity group commit amortizes),
@@ -201,11 +198,10 @@ type Collector struct {
 	appendWait Histogram
 	lockHold   Histogram
 
-	// Intra-transaction parallelism histograms, in microseconds per
-	// transaction: critPath is the dispatch-to-terminal-RVP wall time (the
-	// span that parallel secondary actions can shorten), rvpThread is the
-	// time RVP threads spent on the transaction's critical path (routing,
-	// enqueueing, inline secondary execution).
+	// Flow-graph histograms, in microseconds per transaction: critPath is
+	// the dispatch-to-terminal-RVP wall time (commit durability is pipelined
+	// off it), rvpThread the time RVP threads spent on the transaction's
+	// critical path (routing, enqueueing, inline secondary execution).
 	critPath  Histogram
 	rvpThread Histogram
 
@@ -220,13 +216,8 @@ type Collector struct {
 	pruneLag      Histogram
 	snapshotReads atomic.Uint64
 
-	// Partition-manager instrumentation: the number of routing-boundary
-	// moves applied during the run, the latest partition-table version, and
-	// the balancer's latest imbalance score (max/mean per-executor load,
-	// stored as float64 bits).
-	boundaryMoves    atomic.Uint64
-	partitionVersion atomic.Uint64
-	imbalanceBits    atomic.Uint64
+	// boundaryMoves counts the routing-boundary moves applied during the run.
+	boundaryMoves atomic.Uint64
 
 	mu        sync.Mutex
 	latencies []time.Duration
@@ -281,14 +272,6 @@ func (m *Collector) ObserveExecutorBatch(n int) {
 		return
 	}
 	m.execBatches.Observe(n)
-}
-
-// ObserveFlushCoalesce records how many commits one log flush made durable.
-func (m *Collector) ObserveFlushCoalesce(n int) {
-	if m == nil {
-		return
-	}
-	m.flushCoalesce.Observe(n)
 }
 
 // ObserveDeviceWrite records the latency of one log-device write.
@@ -413,31 +396,6 @@ func (m *Collector) AddBoundaryMove() {
 // BoundaryMoves returns the number of boundary moves recorded.
 func (m *Collector) BoundaryMoves() uint64 { return m.boundaryMoves.Load() }
 
-// SetPartitionVersion records the latest partition-table version.
-func (m *Collector) SetPartitionVersion(v uint64) {
-	if m == nil {
-		return
-	}
-	m.partitionVersion.Store(v)
-}
-
-// PartitionVersion returns the latest recorded partition-table version.
-func (m *Collector) PartitionVersion() uint64 { return m.partitionVersion.Load() }
-
-// SetImbalance records the balancer's latest imbalance score (max/mean
-// per-executor load across the most loaded table; 1.0 is perfectly even).
-func (m *Collector) SetImbalance(score float64) {
-	if m == nil {
-		return
-	}
-	m.imbalanceBits.Store(math.Float64bits(score))
-}
-
-// Imbalance returns the latest recorded imbalance score.
-func (m *Collector) Imbalance() float64 {
-	return math.Float64frombits(m.imbalanceBits.Load())
-}
-
 // CriticalPath returns the per-transaction critical-path histogram (µs).
 func (m *Collector) CriticalPath() HistogramSnapshot {
 	return m.critPath.Snapshot()
@@ -451,11 +409,6 @@ func (m *Collector) RVPThreadTime() HistogramSnapshot {
 // ExecutorBatches returns the executor queue-drain batch-size histogram.
 func (m *Collector) ExecutorBatches() HistogramSnapshot {
 	return m.execBatches.Snapshot()
-}
-
-// FlushCoalescing returns the commits-per-log-flush histogram.
-func (m *Collector) FlushCoalescing() HistogramSnapshot {
-	return m.flushCoalesce.Snapshot()
 }
 
 // TxnCommitted records a committed transaction and its latency.
@@ -588,24 +541,6 @@ func (m *Collector) Latencies() []time.Duration {
 	return out
 }
 
-// LatencyPercentile returns the p-th percentile (0 < p <= 100) commit latency,
-// or zero when no latencies were recorded.
-func (m *Collector) LatencyPercentile(p float64) time.Duration {
-	lats := m.Latencies()
-	if len(lats) == 0 {
-		return 0
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	idx := int(p/100*float64(len(lats))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(lats) {
-		idx = len(lats) - 1
-	}
-	return lats[idx]
-}
-
 // MeanLatency returns the mean commit latency, or zero when none recorded.
 func (m *Collector) MeanLatency() time.Duration {
 	lats := m.Latencies()
@@ -635,7 +570,6 @@ func (m *Collector) Reset() {
 	m.aborted.Store(0)
 	m.shed.Store(0)
 	m.execBatches.reset()
-	m.flushCoalesce.reset()
 	m.devWrite.reset()
 	m.fsyncHist.reset()
 	m.appendWait.reset()
@@ -646,8 +580,6 @@ func (m *Collector) Reset() {
 	m.pruneLag.reset()
 	m.snapshotReads.Store(0)
 	m.boundaryMoves.Store(0)
-	m.partitionVersion.Store(0)
-	m.imbalanceBits.Store(0)
 	m.mu.Lock()
 	m.latencies = m.latencies[:0]
 	m.mu.Unlock()
@@ -671,9 +603,6 @@ func (m *Collector) String() string {
 	if eb := m.ExecutorBatches(); eb.Count > 0 {
 		fmt.Fprintf(&sb, " exec-batch[%s]", eb)
 	}
-	if fc := m.FlushCoalescing(); fc.Count > 0 {
-		fmt.Fprintf(&sb, " flush-coalesce[%s]", fc)
-	}
 	if dw := m.DeviceWriteLatency(); dw.Count > 0 {
 		fmt.Fprintf(&sb, " devwrite-us[%s]", dw)
 	}
@@ -696,8 +625,7 @@ func (m *Collector) String() string {
 		fmt.Fprintf(&sb, " prunelag[%s]", pl)
 	}
 	if mv := m.BoundaryMoves(); mv > 0 {
-		fmt.Fprintf(&sb, " boundary-moves=%d pversion=%d imbalance=%.2f",
-			mv, m.PartitionVersion(), m.Imbalance())
+		fmt.Fprintf(&sb, " boundary-moves=%d", mv)
 	}
 	return sb.String()
 }

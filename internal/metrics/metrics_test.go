@@ -99,20 +99,14 @@ func TestLatencyStats(t *testing.T) {
 	if got := m.MeanLatency(); got != 50500*time.Microsecond {
 		t.Fatalf("mean = %v, want 50.5ms", got)
 	}
-	if got := m.LatencyPercentile(50); got != 50*time.Millisecond {
-		t.Fatalf("p50 = %v, want 50ms", got)
-	}
-	if got := m.LatencyPercentile(100); got != 100*time.Millisecond {
-		t.Fatalf("p100 = %v, want 100ms", got)
-	}
-	if got := m.LatencyPercentile(1); got != 1*time.Millisecond {
-		t.Fatalf("p1 = %v, want 1ms", got)
+	if got := len(m.Latencies()); got != 100 {
+		t.Fatalf("%d latencies recorded, want 100", got)
 	}
 }
 
 func TestLatencyEmpty(t *testing.T) {
 	m := NewCollector()
-	if m.MeanLatency() != 0 || m.LatencyPercentile(50) != 0 {
+	if m.MeanLatency() != 0 || len(m.Latencies()) != 0 {
 		t.Fatal("empty collector latency stats should be zero")
 	}
 }

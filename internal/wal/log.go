@@ -663,7 +663,6 @@ func (m *Manager) flushOnce() {
 	m.flushDone.Broadcast()
 	m.mu.Unlock()
 	if col := m.col.Load(); col != nil {
-		col.ObserveFlushCoalesce(woken)
 		col.ObserveDeviceWrite(writeDur)
 		if synced {
 			col.ObserveFsync(syncDur)

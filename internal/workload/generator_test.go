@@ -5,30 +5,6 @@ import (
 	"testing"
 )
 
-func TestZipfianBoundsAndSkew(t *testing.T) {
-	const items = 16
-	z := NewZipfian(items, ZipfianTheta)
-	rng := rand.New(rand.NewSource(1))
-	counts := make([]int, items)
-	const draws = 20000
-	for i := 0; i < draws; i++ {
-		v := z.Next(rng)
-		if v < 0 || v >= items {
-			t.Fatalf("draw %d out of [0,%d)", v, items)
-		}
-		counts[v]++
-	}
-	// Item 0 is the hottest and must dominate the tail item.
-	if counts[0] <= counts[items-1] {
-		t.Fatalf("no skew: counts[0]=%d <= counts[%d]=%d", counts[0], items-1, counts[items-1])
-	}
-	// With theta≈0.99 the hottest item draws roughly a quarter of the
-	// accesses over 16 items; demand at least 3x the uniform share.
-	if counts[0] < 3*draws/items {
-		t.Fatalf("hottest item drew %d of %d, want >= %d", counts[0], draws, 3*draws/items)
-	}
-}
-
 func TestHotspotBoundsAndSkew(t *testing.T) {
 	const items = 100
 	h := NewHotspot(items, 0.1, 0.9)
@@ -86,36 +62,5 @@ func TestHotspotShiftMovesHotSet(t *testing.T) {
 	h.Shift(99)
 	if start, _ := h.HotRange(); start != items-10 {
 		t.Fatalf("Shift(99) start = %d, want clamped %d", start, items-10)
-	}
-}
-
-func TestHotspotShiftAtSchedule(t *testing.T) {
-	const items = 100
-	h := NewHotspot(items, 0.1, 0.9)
-	h.ShiftAt(0.5, 50)
-	h.ShiftAt(0.75, 80)
-	rng := rand.New(rand.NewSource(4))
-
-	if h.Advance(0.4) {
-		t.Fatal("Advance(0.4) fired a shift scheduled for 0.5")
-	}
-	if f := hotFraction(h, rng, 0, 10, 5000); f < 0.85 {
-		t.Fatalf("hot window moved before its scheduled fraction (%.3f)", f)
-	}
-	if !h.Advance(0.5) {
-		t.Fatal("Advance(0.5) did not fire the scheduled shift")
-	}
-	if f := hotFraction(h, rng, 50, 10, 5000); f < 0.85 {
-		t.Fatalf("hot window not at 50 after Advance(0.5) (%.3f)", f)
-	}
-	// Skipping past the remaining entry applies it too, exactly once.
-	if !h.Advance(1.0) {
-		t.Fatal("Advance(1.0) did not fire the remaining shift")
-	}
-	if start, _ := h.HotRange(); start != 80 {
-		t.Fatalf("hot window at %d after Advance(1.0), want 80", start)
-	}
-	if h.Advance(1.0) {
-		t.Fatal("exhausted schedule fired again")
 	}
 }

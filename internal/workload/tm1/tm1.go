@@ -267,143 +267,89 @@ func cfKey(sid, sf, start int64) storage.Key {
 	return storage.EncodeKey(storage.IntValue(sid), storage.IntValue(sf), storage.IntValue(start))
 }
 
-// RunBaseline implements workload.Driver.
+// RunBaseline implements workload.Driver: the kind's flow graph runs
+// thread-to-transaction on the calling goroutine.
 func (d *Driver) RunBaseline(e *engine.Engine, kind string, rng *rand.Rand, workerID int) error {
-	opt := engine.Conventional()
-	opt.WorkerID = workerID
-	txn := e.Begin()
-	err := d.runConventional(e, txn, kind, rng, opt)
-	if err != nil {
-		e.Abort(txn)
-		if errors.Is(err, engine.ErrNotFound) || errors.Is(err, engine.ErrDuplicateKey) {
-			return fmt.Errorf("%w: %w", workload.ErrAborted, err)
-		}
+	tx := dora.NewFlow()
+	if err := d.flow(tx, kind, rng, dora.PlanParallel); err != nil {
 		return err
 	}
-	return e.Commit(txn)
+	return classify(dora.RunConventional(e, tx, workerID))
 }
 
-func (d *Driver) runConventional(e *engine.Engine, txn *engine.Txn, kind string, rng *rand.Rand, opt engine.AccessOptions) error {
-	sid := d.randomSID(rng)
-	switch kind {
-	case GetSubscriberData:
-		_, err := e.Probe(txn, "SUBSCRIBER", sidKey(sid), opt)
-		return err
-	case GetAccessData:
-		ai := 1 + rng.Int63n(4)
-		_, err := e.Probe(txn, "ACCESS_INFO", storage.EncodeKey(storage.IntValue(sid), storage.IntValue(ai)), opt)
-		return err
-	case GetNewDestination:
-		sf := 1 + rng.Int63n(4)
-		rec, err := e.Probe(txn, "SPECIAL_FACILITY", sfKey(sid, sf), opt)
-		if err != nil {
-			return err
-		}
-		if rec[2].Int != 1 {
-			return fmt.Errorf("%w: inactive special facility", engine.ErrNotFound)
-		}
-		found := false
-		err = e.ScanPrefix(txn, "CALL_FORWARDING", sfKey(sid, sf), opt, func(storage.Tuple) bool {
-			found = true
-			return false
-		})
-		if err != nil {
-			return err
-		}
-		if !found {
-			return fmt.Errorf("%w: no call forwarding entry", engine.ErrNotFound)
-		}
-		return nil
-	case UpdateLocation:
-		return e.Update(txn, "SUBSCRIBER", sidKey(sid), opt, func(tu storage.Tuple) (storage.Tuple, error) {
-			tu[4] = storage.IntValue(rng.Int63())
-			return tu, nil
-		})
-	case UpdateSubscriberData, UpdateSubscriberDataSerial, UpdateSubscriberDataParallel:
-		sf := 1 + rng.Int63n(4)
-		if err := e.Update(txn, "SUBSCRIBER", sidKey(sid), opt, func(tu storage.Tuple) (storage.Tuple, error) {
-			tu[2] = storage.IntValue(rng.Int63n(2))
-			return tu, nil
-		}); err != nil {
-			return err
-		}
-		return e.Update(txn, "SPECIAL_FACILITY", sfKey(sid, sf), opt, func(tu storage.Tuple) (storage.Tuple, error) {
-			tu[4] = storage.IntValue(rng.Int63n(256))
-			return tu, nil
-		})
-	case InsertCallForwarding:
-		sf := 1 + rng.Int63n(4)
-		if _, err := e.Probe(txn, "SPECIAL_FACILITY", sfKey(sid, sf), opt); err != nil {
-			return err
-		}
-		start := (rng.Int63n(3)) * 8
-		rec := storage.Tuple{
-			storage.IntValue(sid), storage.IntValue(sf), storage.IntValue(start),
-			storage.IntValue(start + rng.Int63n(8) + 1),
-			storage.StringValue(workload.RandomString(rng, 15)),
-		}
-		_, err := e.Insert(txn, "CALL_FORWARDING", rec, opt)
-		return err
-	case DeleteCallForwarding:
-		sf := 1 + rng.Int63n(4)
-		start := (rng.Int63n(3)) * 8
-		return e.Delete(txn, "CALL_FORWARDING", cfKey(sid, sf, start), opt)
-	default:
-		return fmt.Errorf("tm1: unknown transaction kind %q", kind)
-	}
-}
-
-// RunDORA implements workload.Driver: each transaction becomes a flow graph of
-// actions routed on the subscriber id.
+// RunDORA implements workload.Driver: the kind's flow graph runs on the
+// executors owning the subscriber's datasets.
 func (d *Driver) RunDORA(sys *dora.System, kind string, rng *rand.Rand, workerID int) error {
 	_ = workerID // executors attribute their own accesses in traces
-	sid := d.randomSID(rng)
-	var err error
-	switch kind {
-	case GetSubscriberData:
-		err = d.doraGetSubscriberData(sys, sid)
-	case GetAccessData:
-		err = d.doraGetAccessData(sys, sid, 1+rng.Int63n(4))
-	case GetNewDestination:
-		err = d.doraGetNewDestination(sys, sid, 1+rng.Int63n(4))
-	case UpdateLocation:
-		err = d.doraUpdateLocation(sys, sid, rng.Int63())
-	case UpdateSubscriberData:
-		plan := sys.PartitionManager().PlanFor(UpdateSubscriberData)
-		err = d.doraUpdateSubscriberData(sys, sid, 1+rng.Int63n(4), rng.Int63n(2), rng.Int63n(256), plan)
-		sys.PartitionManager().RecordOutcome(UpdateSubscriberData, err != nil)
-	case UpdateSubscriberDataParallel:
-		err = d.doraUpdateSubscriberData(sys, sid, 1+rng.Int63n(4), rng.Int63n(2), rng.Int63n(256), dora.PlanParallel)
-	case UpdateSubscriberDataSerial:
-		err = d.doraUpdateSubscriberData(sys, sid, 1+rng.Int63n(4), rng.Int63n(2), rng.Int63n(256), dora.PlanSerial)
-	case InsertCallForwarding:
-		start := (rng.Int63n(3)) * 8
-		err = d.doraInsertCallForwarding(sys, sid, 1+rng.Int63n(4), start, start+rng.Int63n(8)+1, workload.RandomString(rng, 15))
-	case DeleteCallForwarding:
-		err = d.doraDeleteCallForwarding(sys, sid, 1+rng.Int63n(4), (rng.Int63n(3))*8)
-	default:
-		return fmt.Errorf("tm1: unknown transaction kind %q", kind)
+	plan := dora.PlanParallel
+	if kind == UpdateSubscriberData {
+		plan = sys.PartitionManager().PlanFor(UpdateSubscriberData)
 	}
-	if err != nil && (errors.Is(err, engine.ErrNotFound) || errors.Is(err, engine.ErrDuplicateKey)) {
+	tx := sys.NewTransaction()
+	if err := d.flow(tx, kind, rng, plan); err != nil {
+		return err
+	}
+	err := tx.Run()
+	if kind == UpdateSubscriberData {
+		sys.PartitionManager().RecordOutcome(UpdateSubscriberData, err != nil)
+	}
+	return classify(err)
+}
+
+// classify marks TM1's invalid-input failures (a missing record, a duplicate
+// key) as the benchmark's intentional aborts.
+func classify(err error) error {
+	if errors.Is(err, engine.ErrNotFound) || errors.Is(err, engine.ErrDuplicateKey) {
 		return fmt.Errorf("%w: %w", workload.ErrAborted, err)
 	}
 	return err
 }
 
-func (d *Driver) doraGetSubscriberData(sys *dora.System, sid int64) error {
-	tx := sys.NewTransaction()
+// flow adds one transaction of the given kind to tx, drawing its inputs from
+// rng. Every action is routed on the subscriber id. plan places
+// UpdateSubscriberData's actions; its Serial and Parallel kinds force theirs.
+func (d *Driver) flow(tx *dora.Transaction, kind string, rng *rand.Rand, plan dora.Plan) error {
+	sid := d.randomSID(rng)
+	switch kind {
+	case GetSubscriberData:
+		getSubscriberData(tx, sid)
+	case GetAccessData:
+		getAccessData(tx, sid, 1+rng.Int63n(4))
+	case GetNewDestination:
+		getNewDestination(tx, sid, 1+rng.Int63n(4))
+	case UpdateLocation:
+		updateLocation(tx, sid, rng.Int63())
+	case UpdateSubscriberData, UpdateSubscriberDataParallel, UpdateSubscriberDataSerial:
+		switch kind {
+		case UpdateSubscriberDataParallel:
+			plan = dora.PlanParallel
+		case UpdateSubscriberDataSerial:
+			plan = dora.PlanSerial
+		}
+		updateSubscriberData(tx, sid, 1+rng.Int63n(4), rng.Int63n(2), rng.Int63n(256), plan)
+	case InsertCallForwarding:
+		sf, start := 1+rng.Int63n(4), rng.Int63n(3)*8
+		insertCallForwarding(tx, sid, sf, start, start+rng.Int63n(8)+1, workload.RandomString(rng, 15))
+	case DeleteCallForwarding:
+		deleteCallForwarding(tx, sid, 1+rng.Int63n(4), rng.Int63n(3)*8)
+	default:
+		return fmt.Errorf("tm1: unknown transaction kind %q", kind)
+	}
+	return nil
+}
+
+func getSubscriberData(tx *dora.Transaction, sid int64) {
+	key := sidKey(sid) // SUBSCRIBER's routing key is its whole primary key
 	tx.Add(0, &dora.Action{
-		Table: "SUBSCRIBER", Key: sidKey(sid), Mode: dora.Shared,
+		Table: "SUBSCRIBER", Key: key, Mode: dora.Shared,
 		Work: func(s *dora.Scope) error {
-			_, err := s.Probe("SUBSCRIBER", sidKey(sid))
+			_, err := s.Probe("SUBSCRIBER", key)
 			return err
 		},
 	})
-	return tx.Run()
 }
 
-func (d *Driver) doraGetAccessData(sys *dora.System, sid, ai int64) error {
-	tx := sys.NewTransaction()
+func getAccessData(tx *dora.Transaction, sid, ai int64) {
 	tx.Add(0, &dora.Action{
 		Table: "ACCESS_INFO", Key: sidKey(sid), Mode: dora.Shared,
 		Work: func(s *dora.Scope) error {
@@ -411,14 +357,12 @@ func (d *Driver) doraGetAccessData(sys *dora.System, sid, ai int64) error {
 			return err
 		},
 	})
-	return tx.Run()
 }
 
-func (d *Driver) doraGetNewDestination(sys *dora.System, sid, sf int64) error {
-	tx := sys.NewTransaction()
-	// Both actions have the subscriber id as identifier; SPECIAL_FACILITY
-	// and CALL_FORWARDING are different tables so they go to different
-	// executors, with a data dependency resolved within one phase each.
+// getNewDestination: both actions have the subscriber id as identifier;
+// SPECIAL_FACILITY and CALL_FORWARDING are different tables so they go to
+// different executors, with a data dependency resolved within one phase each.
+func getNewDestination(tx *dora.Transaction, sid, sf int64) {
 	tx.Add(0, &dora.Action{
 		Table: "SPECIAL_FACILITY", Key: sidKey(sid), Mode: dora.Shared,
 		Work: func(s *dora.Scope) error {
@@ -449,30 +393,27 @@ func (d *Driver) doraGetNewDestination(sys *dora.System, sid, sf int64) error {
 			return nil
 		},
 	})
-	return tx.Run()
 }
 
-func (d *Driver) doraUpdateLocation(sys *dora.System, sid, vlr int64) error {
-	tx := sys.NewTransaction()
+func updateLocation(tx *dora.Transaction, sid, vlr int64) {
+	key := sidKey(sid) // SUBSCRIBER's routing key is its whole primary key
 	tx.Add(0, &dora.Action{
-		Table: "SUBSCRIBER", Key: sidKey(sid), Mode: dora.Exclusive,
+		Table: "SUBSCRIBER", Key: key, Mode: dora.Exclusive,
 		Work: func(s *dora.Scope) error {
-			return s.Update("SUBSCRIBER", sidKey(sid), func(tu storage.Tuple) (storage.Tuple, error) {
+			return s.Update("SUBSCRIBER", key, func(tu storage.Tuple) (storage.Tuple, error) {
 				tu[4] = storage.IntValue(vlr)
 				return tu, nil
 			})
 		},
 	})
-	return tx.Run()
 }
 
-// doraUpdateSubscriberData is the Figure 11 transaction: one action always
+// updateSubscriberData is the Figure 11 transaction: one action always
 // succeeds (SUBSCRIBER), the other succeeds only when the chosen special
 // facility exists (~62.5%). The parallel plan runs both in one phase; the
 // serial plan runs the failure-prone action first and the other only if it
 // succeeded, wasting no work on aborts.
-func (d *Driver) doraUpdateSubscriberData(sys *dora.System, sid, sf, bit, dataA int64, plan dora.Plan) error {
-	tx := sys.NewTransaction()
+func updateSubscriberData(tx *dora.Transaction, sid, sf, bit, dataA int64, plan dora.Plan) {
 	subPhase := 0
 	if plan == dora.PlanSerial {
 		subPhase = 1
@@ -486,20 +427,19 @@ func (d *Driver) doraUpdateSubscriberData(sys *dora.System, sid, sf, bit, dataA 
 			})
 		},
 	})
+	key := sidKey(sid) // SUBSCRIBER's routing key is its whole primary key
 	tx.Add(subPhase, &dora.Action{
-		Table: "SUBSCRIBER", Key: sidKey(sid), Mode: dora.Exclusive,
+		Table: "SUBSCRIBER", Key: key, Mode: dora.Exclusive,
 		Work: func(s *dora.Scope) error {
-			return s.Update("SUBSCRIBER", sidKey(sid), func(tu storage.Tuple) (storage.Tuple, error) {
+			return s.Update("SUBSCRIBER", key, func(tu storage.Tuple) (storage.Tuple, error) {
 				tu[2] = storage.IntValue(bit)
 				return tu, nil
 			})
 		},
 	})
-	return tx.Run()
 }
 
-func (d *Driver) doraInsertCallForwarding(sys *dora.System, sid, sf, start, end int64, number string) error {
-	tx := sys.NewTransaction()
+func insertCallForwarding(tx *dora.Transaction, sid, sf, start, end int64, number string) {
 	tx.Add(0, &dora.Action{
 		Table: "SPECIAL_FACILITY", Key: sidKey(sid), Mode: dora.Shared,
 		Work: func(s *dora.Scope) error {
@@ -517,16 +457,13 @@ func (d *Driver) doraInsertCallForwarding(sys *dora.System, sid, sf, start, end 
 			return err
 		},
 	})
-	return tx.Run()
 }
 
-func (d *Driver) doraDeleteCallForwarding(sys *dora.System, sid, sf, start int64) error {
-	tx := sys.NewTransaction()
+func deleteCallForwarding(tx *dora.Transaction, sid, sf, start int64) {
 	tx.Add(0, &dora.Action{
 		Table: "CALL_FORWARDING", Key: sidKey(sid), Mode: dora.Exclusive,
 		Work: func(s *dora.Scope) error {
 			return s.Delete("CALL_FORWARDING", cfKey(sid, sf, start))
 		},
 	})
-	return tx.Run()
 }

@@ -2,6 +2,7 @@ package tm1
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -18,6 +19,9 @@ func newLoaded(t testing.TB, subscribers int64, withDORA bool) (*Driver, *engine
 	t.Helper()
 	d := New(subscribers)
 	e := engine.New(engine.Config{BufferPoolFrames: 2048})
+	// Close the engine's background pruner so repeated runs (-count) do not
+	// pile up pruners that starve the next run's CPU.
+	t.Cleanup(func() { e.Close() })
 	if err := d.CreateTables(e); err != nil {
 		t.Fatalf("CreateTables: %v", err)
 	}
@@ -159,12 +163,87 @@ func TestDORATransactionsRunAllKinds(t *testing.T) {
 	}
 }
 
+// runOnDORA runs the flow graph build adds to a fresh transaction of sys.
+func runOnDORA(sys *dora.System, build func(*dora.Transaction)) error {
+	tx := sys.NewTransaction()
+	build(tx)
+	return tx.Run()
+}
+
+// tableContents lists every row of the TM1 tables in primary-key order.
+func tableContents(t *testing.T, e *engine.Engine) map[string][]string {
+	t.Helper()
+	txn := e.Begin()
+	defer e.Commit(txn)
+	out := map[string][]string{}
+	for _, table := range []string{"SUBSCRIBER", "ACCESS_INFO", "SPECIAL_FACILITY", "CALL_FORWARDING"} {
+		if err := e.ScanTable(txn, table, engine.Conventional(), func(tu storage.Tuple) bool {
+			out[table] = append(out[table], fmt.Sprint(tu))
+			return true
+		}); err != nil {
+			t.Fatalf("scan %s: %v", table, err)
+		}
+	}
+	return out
+}
+
+// TestBaselineAndDORAProduceSameEffects runs one seeded sequence of all seven
+// TM1 kinds on two identically loaded databases, thread-to-transaction on one
+// and through DORA on the other: every transaction must end the same way on
+// both, and so must every table's contents.
 func TestBaselineAndDORAProduceSameEffects(t *testing.T) {
-	// UpdateLocation through DORA must be visible to a conventional reader,
-	// i.e. both systems operate on the same shared-everything database.
-	d, e, sys := newLoaded(t, 100, true)
-	if err := d.doraUpdateLocation(sys, 42, 123456); err != nil {
-		t.Fatalf("doraUpdateLocation: %v", err)
+	kinds := []string{
+		GetSubscriberData, GetAccessData, GetNewDestination, UpdateLocation,
+		UpdateSubscriberData, InsertCallForwarding, DeleteCallForwarding,
+	}
+	var outcomes [2][]bool
+	var contents [2]map[string][]string
+	for i, withDORA := range []bool{false, true} {
+		d, e, sys := newLoaded(t, 100, withDORA)
+		rng := rand.New(rand.NewSource(8))
+		for j := 0; j < 700; j++ {
+			// Three rounds of the kinds in order, then the standard mix.
+			kind := kinds[j%len(kinds)]
+			if j >= 3*len(kinds) {
+				kind = d.Mix().Pick(rng)
+			}
+			var err error
+			if withDORA {
+				err = d.RunDORA(sys, kind, rng, 0)
+			} else {
+				err = d.RunBaseline(e, kind, rng, 0)
+			}
+			if err != nil && !errors.Is(err, workload.ErrAborted) {
+				t.Fatalf("dora=%v %s #%d: %v", withDORA, kind, j, err)
+			}
+			outcomes[i] = append(outcomes[i], err == nil)
+		}
+		if err := d.Check(e); err != nil {
+			t.Fatalf("dora=%v invariants: %v", withDORA, err)
+		}
+		contents[i] = tableContents(t, e)
+	}
+	for j := range outcomes[0] {
+		if outcomes[0][j] != outcomes[1][j] {
+			t.Fatalf("transaction %d committed=%v conventionally, %v under DORA", j, outcomes[0][j], outcomes[1][j])
+		}
+	}
+	for table, rows := range contents[0] {
+		if len(rows) != len(contents[1][table]) {
+			t.Fatalf("%s has %d rows conventionally, %d under DORA", table, len(rows), len(contents[1][table]))
+		}
+		for k, row := range rows {
+			if contents[1][table][k] != row {
+				t.Fatalf("%s row %d: conventional %s, DORA %s", table, k, row, contents[1][table][k])
+			}
+		}
+	}
+
+	// Both systems operate on one shared-everything database: a DORA update
+	// is visible to a conventional reader.
+	_, e, sys := newLoaded(t, 100, true)
+	if err := runOnDORA(sys, func(tx *dora.Transaction) { updateLocation(tx, 42, 123456) }); err != nil {
+		t.Fatalf("UpdateLocation: %v", err)
 	}
 	txn := e.Begin()
 	rec, err := e.Probe(txn, "SUBSCRIBER", sidKey(42), engine.Conventional())
@@ -172,7 +251,6 @@ func TestBaselineAndDORAProduceSameEffects(t *testing.T) {
 		t.Fatalf("conventional read after DORA update: %v %v", rec, err)
 	}
 	e.Commit(txn)
-	_ = d
 }
 
 func TestUpdateSubscriberDataAbortRollsBackSubscriber(t *testing.T) {
@@ -194,7 +272,7 @@ func TestUpdateSubscriberDataAbortRollsBackSubscriber(t *testing.T) {
 		t.Skip("every subscriber has facility 4 in this seed")
 	}
 	before := subscriberBit(t, e, sid)
-	err := d.doraUpdateSubscriberData(sys, sid, 4, 1-before, 77, dora.PlanParallel)
+	err := runOnDORA(sys, func(tx *dora.Transaction) { updateSubscriberData(tx, sid, 4, 1-before, 77, dora.PlanParallel) })
 	if err == nil {
 		t.Fatal("transaction should abort when the facility is missing")
 	}
@@ -202,7 +280,7 @@ func TestUpdateSubscriberDataAbortRollsBackSubscriber(t *testing.T) {
 		t.Fatalf("subscriber bit changed to %d despite abort", got)
 	}
 	// Serial plan: same outcome, but the subscriber action never runs.
-	err = d.doraUpdateSubscriberData(sys, sid, 4, 1-before, 77, dora.PlanSerial)
+	err = runOnDORA(sys, func(tx *dora.Transaction) { updateSubscriberData(tx, sid, 4, 1-before, 77, dora.PlanSerial) })
 	if err == nil {
 		t.Fatal("serial plan should abort too")
 	}
@@ -240,17 +318,19 @@ func TestInsertThenDeleteCallForwardingRoundTrip(t *testing.T) {
 	if sid < 0 {
 		t.Skip("no suitable subscriber in this seed")
 	}
-	if err := d.doraInsertCallForwarding(sys, sid, 1, 0, 5, "555-0100"); err != nil {
+	insert := func(tx *dora.Transaction) { insertCallForwarding(tx, sid, 1, 0, 5, "555-0100") }
+	remove := func(tx *dora.Transaction) { deleteCallForwarding(tx, sid, 1, 0) }
+	if err := runOnDORA(sys, insert); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
 	// Inserting the same key again violates the primary key -> abort.
-	if err := d.doraInsertCallForwarding(sys, sid, 1, 0, 5, "555-0100"); err == nil {
+	if err := runOnDORA(sys, insert); err == nil {
 		t.Fatal("duplicate call forwarding insert accepted")
 	}
-	if err := d.doraDeleteCallForwarding(sys, sid, 1, 0); err != nil {
+	if err := runOnDORA(sys, remove); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	if err := d.doraDeleteCallForwarding(sys, sid, 1, 0); err == nil {
+	if err := runOnDORA(sys, remove); err == nil {
 		t.Fatal("deleting a missing call forwarding row should fail")
 	}
 }
@@ -274,7 +354,7 @@ func TestSerialPlanAvoidsWastedSubscriberWorkOnAbort(t *testing.T) {
 	}
 	statsBefore := executedOn(sys, "SUBSCRIBER")
 	for i := 0; i < 10; i++ {
-		d.doraUpdateSubscriberData(sys, sid, 3, 1, 5, dora.PlanSerial)
+		runOnDORA(sys, func(tx *dora.Transaction) { updateSubscriberData(tx, sid, 3, 1, 5, dora.PlanSerial) })
 	}
 	if got := executedOn(sys, "SUBSCRIBER"); got != statsBefore {
 		t.Fatalf("serial aborts still executed %d SUBSCRIBER actions", got-statsBefore)

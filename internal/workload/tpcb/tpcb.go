@@ -232,68 +232,41 @@ func pk2(a, b int64) storage.Key {
 	return storage.EncodeKey(storage.IntValue(a), storage.IntValue(b))
 }
 
-// RunBaseline implements workload.Driver.
+// RunBaseline implements workload.Driver: the AccountUpdate flow graph runs
+// thread-to-transaction on the calling goroutine.
 func (d *Driver) RunBaseline(e *engine.Engine, kind string, rng *rand.Rand, workerID int) error {
 	if kind != AccountUpdate {
 		return fmt.Errorf("tpcb: unknown transaction kind %q", kind)
 	}
-	in := d.genInput(rng)
-	opt := engine.Conventional()
-	opt.WorkerID = workerID
-	txn := e.Begin()
-	err := d.accountUpdateConventional(e, txn, in, opt)
-	if err != nil {
-		e.Abort(txn)
-		if errors.Is(err, engine.ErrNotFound) {
-			return fmt.Errorf("%w: %w", workload.ErrAborted, err)
-		}
-		return err
-	}
-	return e.Commit(txn)
+	tx := dora.NewFlow()
+	d.accountUpdate(tx, d.genInput(rng))
+	return classify(dora.RunConventional(e, tx, workerID))
 }
 
-func (d *Driver) accountUpdateConventional(e *engine.Engine, txn *engine.Txn, in input, opt engine.AccessOptions) error {
-	addF := func(idx int, delta float64) func(storage.Tuple) (storage.Tuple, error) {
-		return func(tu storage.Tuple) (storage.Tuple, error) {
-			tu[idx] = storage.FloatValue(tu[idx].Float + delta)
-			return tu, nil
-		}
-	}
-	if err := e.Update(txn, "ACCOUNT", pk2(in.acctB, in.account), opt, addF(2, in.delta)); err != nil {
-		return err
-	}
-	if err := e.Update(txn, "TELLER", pk2(in.branch, in.teller), opt, addF(2, in.delta)); err != nil {
-		return err
-	}
-	if err := e.Update(txn, "BRANCH", bk(in.branch), opt, addF(1, in.delta)); err != nil {
-		return err
-	}
-	_, err := e.Insert(txn, "HISTORY", storage.Tuple{
-		storage.IntValue(d.historyID.Add(1)),
-		storage.IntValue(in.branch), storage.IntValue(in.teller),
-		storage.IntValue(in.account), storage.FloatValue(in.delta),
-	}, opt)
-	return err
-}
-
-// RunDORA implements workload.Driver: the account, teller, and branch updates
-// are independent actions of the first phase; the history insert follows
-// after the rendezvous point.
+// RunDORA implements workload.Driver: the AccountUpdate flow graph runs on
+// the executors owning its branches.
 func (d *Driver) RunDORA(sys *dora.System, kind string, rng *rand.Rand, workerID int) error {
 	if kind != AccountUpdate {
 		return fmt.Errorf("tpcb: unknown transaction kind %q", kind)
 	}
 	_ = workerID
-	in := d.genInput(rng)
-	err := d.accountUpdateDORA(sys, in)
-	if err != nil && errors.Is(err, engine.ErrNotFound) {
+	tx := sys.NewTransaction()
+	d.accountUpdate(tx, d.genInput(rng))
+	return classify(tx.Run())
+}
+
+// classify marks a missing record as the benchmark's intentional abort.
+func classify(err error) error {
+	if errors.Is(err, engine.ErrNotFound) {
 		return fmt.Errorf("%w: %w", workload.ErrAborted, err)
 	}
 	return err
 }
 
-func (d *Driver) accountUpdateDORA(sys *dora.System, in input) error {
-	tx := sys.NewTransaction()
+// accountUpdate adds the AccountUpdate flow graph to tx: the account, teller,
+// and branch updates are independent actions of the first phase; the history
+// insert follows after the rendezvous point.
+func (d *Driver) accountUpdate(tx *dora.Transaction, in input) {
 	tx.Add(0, &dora.Action{
 		Table: "ACCOUNT", Key: bk(in.acctB), Mode: dora.Exclusive,
 		Work: func(s *dora.Scope) error {
@@ -332,5 +305,4 @@ func (d *Driver) accountUpdateDORA(sys *dora.System, in input) error {
 			return err
 		},
 	})
-	return tx.Run()
 }

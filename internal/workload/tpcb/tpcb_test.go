@@ -2,6 +2,7 @@ package tpcb
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -19,6 +20,9 @@ func newLoaded(t testing.TB, branches int64, withDORA bool) (*Driver, *engine.En
 	d := New(branches)
 	d.AccountsPerBranch = 50
 	e := engine.New(engine.Config{BufferPoolFrames: 1024})
+	// Close the engine's background pruner so repeated runs (-count) do not
+	// pile up pruners that starve the next run's CPU.
+	t.Cleanup(func() { e.Close() })
 	if err := d.CreateTables(e); err != nil {
 		t.Fatalf("CreateTables: %v", err)
 	}
@@ -123,6 +127,84 @@ func TestDORAAccountUpdates(t *testing.T) {
 	balanceInvariant(t, e)
 	if err := d.RunDORA(sys, "Bogus", rng, 0); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+}
+
+// tableContents lists every row of the TPC-B tables in primary-key order.
+func tableContents(t *testing.T, e *engine.Engine) map[string][]string {
+	t.Helper()
+	txn := e.Begin()
+	defer e.Commit(txn)
+	out := map[string][]string{}
+	for _, table := range []string{"BRANCH", "TELLER", "ACCOUNT", "HISTORY"} {
+		if err := e.ScanTable(txn, table, engine.Conventional(), func(tu storage.Tuple) bool {
+			out[table] = append(out[table], fmt.Sprint(tu))
+			return true
+		}); err != nil {
+			t.Fatalf("scan %s: %v", table, err)
+		}
+	}
+	return out
+}
+
+// TestBaselineAndDORAProduceSameEffects runs one seeded AccountUpdate sequence
+// on two identically loaded databases, thread-to-transaction on one and
+// through DORA on the other. Every table's contents must match, and every
+// account, teller and branch balance must equal the sum of the deltas the
+// test itself draws for that row from the same seed.
+func TestBaselineAndDORAProduceSameEffects(t *testing.T) {
+	const txns, seed = 300, 11
+	// The expected balances, keyed by table and primary key.
+	want := map[string]float64{}
+	gen := New(3)
+	gen.AccountsPerBranch = 50 // as newLoaded
+	rng := rand.New(rand.NewSource(seed))
+	for j := 0; j < txns; j++ {
+		in := gen.genInput(rng)
+		want[fmt.Sprint("ACCOUNT", in.acctB, in.account)] += in.delta
+		want[fmt.Sprint("TELLER", in.branch, in.teller)] += in.delta
+		want[fmt.Sprint("BRANCH", in.branch)] += in.delta
+	}
+	var contents [2]map[string][]string
+	for i, withDORA := range []bool{false, true} {
+		d, e, sys := newLoaded(t, 3, withDORA)
+		rng := rand.New(rand.NewSource(seed))
+		for j := 0; j < txns; j++ {
+			var err error
+			if withDORA {
+				err = d.RunDORA(sys, AccountUpdate, rng, 0)
+			} else {
+				err = d.RunBaseline(e, AccountUpdate, rng, 0)
+			}
+			if err != nil {
+				t.Fatalf("dora=%v AccountUpdate #%d: %v", withDORA, j, err)
+			}
+		}
+		contents[i] = tableContents(t, e)
+		txn := e.Begin()
+		for _, table := range []string{"ACCOUNT", "TELLER", "BRANCH"} {
+			if err := e.ScanTable(txn, table, engine.Conventional(), func(tu storage.Tuple) bool {
+				k := fmt.Sprint(table, tu[0].Int, tu[1].Int)
+				if table == "BRANCH" {
+					k = fmt.Sprint(table, tu[0].Int)
+				}
+				if got := tu[len(tu)-1].Float; math.Abs(got-want[k]) > 0.005 {
+					t.Errorf("dora=%v %s: balance %.2f, want %.2f", withDORA, k, got, want[k])
+				}
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Commit(txn)
+	}
+	for table, rows := range contents[0] {
+		if fmt.Sprint(rows) != fmt.Sprint(contents[1][table]) {
+			t.Fatalf("%s differs:\nconventional %v\nDORA         %v", table, rows, contents[1][table])
+		}
+	}
+	if len(contents[0]["HISTORY"]) != txns {
+		t.Fatalf("%d HISTORY rows, want %d", len(contents[0]["HISTORY"]), txns)
 	}
 }
 

@@ -12,17 +12,13 @@ import (
 	"dora/internal/workload"
 )
 
-// makeOrder runs one deterministic conventional NewOrder so the district gains
-// an undelivered order, and returns its order id.
-func makeOrder(t *testing.T, d *Driver, e *engine.Engine, w, dd, c int64) int64 {
+// makeOrder runs one deterministic NewOrder thread-to-transaction so the
+// district gains an undelivered order, and returns its order id.
+func makeOrder(t *testing.T, e *engine.Engine, w, dd, c int64) int64 {
 	t.Helper()
 	in := newOrderInput{wID: w, dID: dd, cID: c, items: []int64{1, 2}, quantities: []int64{1, 1}}
-	txn := e.Begin()
-	if err := d.newOrderConventional(e, txn, in, engine.Conventional()); err != nil {
-		t.Fatalf("newOrderConventional: %v", err)
-	}
-	if err := e.Commit(txn); err != nil {
-		t.Fatal(err)
+	if err := runFlow(e, nil, func(tx *dora.Transaction) { newOrder(tx, in) }); err != nil {
+		t.Fatalf("NewOrder: %v", err)
 	}
 	// The order id is the district's next_o_id before the increment.
 	check := e.Begin()
@@ -62,21 +58,17 @@ func probeTuple(t *testing.T, e *engine.Engine, table string, pk storage.Key) st
 func TestDeliveryConventionalDeliversOldestPerDistrict(t *testing.T) {
 	d, e, _ := newLoaded(t, false)
 	// Two undelivered orders in district 1, one in district 2.
-	first := makeOrder(t, d, e, 1, 1, 3)
-	makeOrder(t, d, e, 1, 1, 4)
-	makeOrder(t, d, e, 1, 2, 5)
+	first := makeOrder(t, e, 1, 1, 3)
+	makeOrder(t, e, 1, 1, 4)
+	makeOrder(t, e, 1, 2, 5)
 	if got := countRows(t, e, "NEW_ORDER", ik(1)); got != 3 {
 		t.Fatalf("NEW_ORDER rows = %d, want 3", got)
 	}
 	balBefore := probeTuple(t, e, "CUSTOMER", ik(1, 1, 3))[5].Float
 
-	txn := e.Begin()
-	delivered, err := d.deliveryConventional(e, txn, deliveryInput{wID: 1, carrierID: 7}, engine.Conventional())
-	if err != nil {
-		t.Fatalf("deliveryConventional: %v", err)
-	}
-	if err := e.Commit(txn); err != nil {
-		t.Fatal(err)
+	var delivered int
+	if err := runFlow(e, nil, func(tx *dora.Transaction) { delivery(tx, deliveryInput{wID: 1, carrierID: 7}, &delivered) }); err != nil {
+		t.Fatalf("conventional Delivery: %v", err)
 	}
 	if delivered != 2 {
 		t.Fatalf("delivered %d orders, want 2 (districts 1 and 2)", delivered)
@@ -102,12 +94,11 @@ func TestDeliveryConventionalDeliversOldestPerDistrict(t *testing.T) {
 		t.Fatalf("customer balance grew by %v, want %v", diff, amount)
 	}
 	// A warehouse with no undelivered orders delivers nothing.
-	txn3 := e.Begin()
-	delivered, err = d.deliveryConventional(e, txn3, deliveryInput{wID: 2, carrierID: 1}, engine.Conventional())
+	delivered = -1
+	err := runFlow(e, nil, func(tx *dora.Transaction) { delivery(tx, deliveryInput{wID: 2, carrierID: 1}, &delivered) })
 	if err != nil || delivered != 0 {
 		t.Fatalf("empty-warehouse delivery = (%d, %v), want (0, nil)", delivered, err)
 	}
-	e.Commit(txn3)
 
 	if err := d.Check(e); err != nil {
 		t.Fatalf("invariants after conventional Delivery: %v", err)
@@ -116,11 +107,12 @@ func TestDeliveryConventionalDeliversOldestPerDistrict(t *testing.T) {
 
 func TestDeliveryDORAFlowGraphShapeAndEffects(t *testing.T) {
 	d, e, sys := newLoaded(t, true)
-	oldest := makeOrder(t, d, e, 1, 3, 6)
-	makeOrder(t, d, e, 1, 3, 7)
+	oldest := makeOrder(t, e, 1, 3, 6)
+	makeOrder(t, e, 1, 3, 7)
 
 	var delivered int
-	tx := d.deliveryFlow(sys, deliveryInput{wID: 1, carrierID: 9}, &delivered)
+	tx := sys.NewTransaction()
+	delivery(tx, deliveryInput{wID: 1, carrierID: 9}, &delivered)
 	// The genuinely multi-phase graph: the four lock claims, then one
 	// secondary probe per district (which forward the NEW_ORDER deletes),
 	// then the ORDERS/ORDER_LINE pair, then the CUSTOMER update — 4 phases,
@@ -142,8 +134,8 @@ func TestDeliveryDORAFlowGraphShapeAndEffects(t *testing.T) {
 		t.Fatalf("o_carrier_id = %d, want 9", got)
 	}
 	// Oldest-first: the second delivery picks up the remaining order.
-	if err := d.deliveryDORA(sys, deliveryInput{wID: 1, carrierID: 2}); err != nil {
-		t.Fatalf("second deliveryDORA: %v", err)
+	if err := runFlow(e, sys, func(tx *dora.Transaction) { delivery(tx, deliveryInput{wID: 1, carrierID: 2}, nil) }); err != nil {
+		t.Fatalf("second DORA Delivery: %v", err)
 	}
 	if got := countRows(t, e, "NEW_ORDER", ik(1, 3)); got != 0 {
 		t.Fatalf("district 3 NEW_ORDER rows = %d, want 0", got)
@@ -187,7 +179,7 @@ func TestStockLevelBothModesAgree(t *testing.T) {
 	d, e, sys := newLoaded(t, true)
 	// A few fresh orders so the recent-order window has known lines.
 	for i := int64(0); i < 5; i++ {
-		makeOrder(t, d, e, 1, 1, 3+i)
+		makeOrder(t, e, 1, 1, 3+i)
 	}
 	for _, in := range []stockLevelInput{
 		{wID: 1, dID: 1, threshold: 10},

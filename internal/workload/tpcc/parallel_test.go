@@ -2,7 +2,9 @@ package tpcc
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,15 +13,17 @@ import (
 	"dora/internal/workload"
 )
 
+// custKey is a customer's primary key (warehouse, district, customer id).
+type custKey [3]int64
+
 // customerState snapshots the mutable Payment fields of every customer.
-func customerState(t *testing.T, e *engine.Engine) map[string][3]float64 {
+func customerState(t *testing.T, e *engine.Engine) map[custKey][3]float64 {
 	t.Helper()
 	txn := e.Begin()
 	defer e.Commit(txn)
-	out := make(map[string][3]float64)
+	out := make(map[custKey][3]float64)
 	if err := e.ScanTable(txn, "CUSTOMER", engine.Conventional(), func(tu storage.Tuple) bool {
-		k := tu[0].String() + "/" + tu[1].String() + "/" + tu[2].String()
-		out[k] = [3]float64{tu[5].Float, tu[6].Float, float64(tu[7].Int)}
+		out[custKey{tu[0].Int, tu[1].Int, tu[2].Int}] = [3]float64{tu[5].Float, tu[6].Float, float64(tu[7].Int)}
 		return true
 	}); err != nil {
 		t.Fatalf("scan CUSTOMER: %v", err)
@@ -27,22 +31,110 @@ func customerState(t *testing.T, e *engine.Engine) map[string][3]float64 {
 	return out
 }
 
+// byNameSelection is the key of the customer a
+// by-name Payment must update, computed by the test itself: look the last
+// name up in the by_name index, order the matches by RID and take the middle
+// one. ok is false when no customer has the name.
+func byNameSelection(t *testing.T, e *engine.Engine, in paymentInput) (key custKey, ok bool) {
+	t.Helper()
+	txn := e.Begin()
+	defer e.Commit(txn)
+	matches, err := e.SecondaryLookup(txn, "CUSTOMER", "by_name", storage.EncodeKey(
+		storage.IntValue(in.cWID), storage.IntValue(in.cDID), storage.StringValue(in.cLast)), engine.Conventional())
+	if err != nil {
+		t.Fatalf("by_name lookup: %v", err)
+	}
+	if len(matches) == 0 {
+		return custKey{}, false
+	}
+	rids := make([]uint64, len(matches))
+	byRID := make(map[uint64]storage.RID, len(matches))
+	for i, m := range matches {
+		rids[i] = m.RID.Key()
+		byRID[rids[i]] = m.RID
+	}
+	slices.Sort(rids)
+	tu, err := e.ProbeRID(txn, "CUSTOMER", byRID[rids[len(rids)/2]], engine.Conventional())
+	if err != nil {
+		t.Fatalf("probe selected customer: %v", err)
+	}
+	return custKey{tu[0].Int, tu[1].Int, tu[2].Int}, true
+}
+
+// addNamesakes gives every last name of the loaded customers a second holder
+// per district (new customer ids after the loaded ones), so a by-name lookup
+// has two matches to choose from.
+func addNamesakes(t *testing.T, d *Driver, e *engine.Engine) {
+	t.Helper()
+	txn := e.Begin()
+	n := d.CustomersPerDistrict
+	for w := int64(1); w <= d.Warehouses; w++ {
+		for dd := int64(1); dd <= DistrictsPerWarehouse; dd++ {
+			for c := n + 1; c <= 2*n; c++ {
+				if _, err := e.Insert(txn, "CUSTOMER", storage.Tuple{
+					storage.IntValue(w), storage.IntValue(dd), storage.IntValue(c),
+					storage.StringValue(workload.LastName(1 + (c-1)%n)), storage.StringValue("namesake"),
+					storage.FloatValue(-10), storage.FloatValue(10), storage.IntValue(1),
+				}, engine.Conventional()); err != nil {
+					t.Fatalf("insert namesake: %v", err)
+				}
+			}
+		}
+	}
+	if err := e.Commit(txn); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPaymentByNameModeEquivalence runs the same deterministic by-name
-// Payment sequence conventionally and as DORA flows and demands identical
-// final customer state: the resolve-then-forward path must select and update
-// exactly the customers the spec's by-name rule picks.
+// Payment sequence conventionally and as DORA flows, on databases where each
+// last name has two holders per district (addNamesakes). Before each Payment
+// the test computes the customer the by-name rule selects (byNameSelection)
+// and takes the amount from the same seeded inputs. Each run must end with
+// the loaded customer state changed in exactly those customers: per committed
+// Payment, the selected one's balance, YTD payment and payment count move by
+// -amount, +amount and +1, and no other customer changes.
 func TestPaymentByNameModeEquivalence(t *testing.T) {
 	const txns = 120
-	var states []map[string][3]float64
+	var states []map[custKey][3]float64
 	for _, withDORA := range []bool{false, true} {
 		d, e, sys := newLoaded(t, withDORA)
 		d.ByNamePercent = 100
+		addNamesakes(t, d, e)
 		rng := rand.New(rand.NewSource(99))
+		inputs := rand.New(rand.NewSource(99)) // replays the Payments' draws
+		want := customerState(t, e)
+		committed := 0
 		for i := 0; i < txns; i++ {
+			in := d.genPayment(inputs)
+			sel, found := byNameSelection(t, e, in)
 			err := runKind(d, e, sys, Payment, rng, 0)
 			if err != nil && !errors.Is(err, workload.ErrAborted) {
 				t.Fatalf("dora=%v payment %d: %v", withDORA, i, err)
 			}
+			if (err == nil) != found {
+				t.Fatalf("dora=%v payment %d (%+v): committed=%v, but a customer named %q exists=%v",
+					withDORA, i, in, err == nil, in.cLast, found)
+			}
+			if err == nil {
+				c := want[sel]
+				want[sel] = [3]float64{c[0] - in.amount, c[1] + in.amount, c[2] + 1}
+				committed++
+			}
+		}
+		got := customerState(t, e)
+		if len(got) != len(want) {
+			t.Fatalf("dora=%v: %d customers, want %d", withDORA, len(got), len(want))
+		}
+		for k, w := range want {
+			for f := range w {
+				if math.Abs(got[k][f]-w[f]) > 1e-6 {
+					t.Fatalf("dora=%v: customer %v is %v, want %v", withDORA, k, got[k], w)
+				}
+			}
+		}
+		if committed == 0 {
+			t.Fatalf("dora=%v: no by-name Payment committed", withDORA)
 		}
 		if err := d.Check(e); err != nil {
 			t.Fatalf("dora=%v invariants: %v", withDORA, err)
@@ -54,7 +146,7 @@ func TestPaymentByNameModeEquivalence(t *testing.T) {
 	}
 	for k, v := range states[0] {
 		if states[1][k] != v {
-			t.Fatalf("customer %s diverged: conventional %v, DORA %v", k, v, states[1][k])
+			t.Fatalf("customer %v diverged: conventional %v, DORA %v", k, v, states[1][k])
 		}
 	}
 }
@@ -103,7 +195,7 @@ func checkOrderStatusByName(t *testing.T, clients, perClient int) {
 		after := customerState(t, e)
 		for k, v := range before {
 			if after[k] != v {
-				t.Fatalf("dora=%v: read-only OrderStatus mutated customer %s: %v -> %v", withDORA, k, v, after[k])
+				t.Fatalf("dora=%v: read-only OrderStatus mutated customer %v: %v -> %v", withDORA, k, v, after[k])
 			}
 		}
 	}

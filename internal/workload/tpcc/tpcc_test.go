@@ -40,6 +40,19 @@ func newLoaded(t testing.TB, withDORA bool) (*Driver, *engine.Engine, *dora.Syst
 	return d, e, sys
 }
 
+// runFlow runs the flow graph build adds to a fresh transaction: through DORA
+// when sys is non-nil, thread-to-transaction on e otherwise.
+func runFlow(e *engine.Engine, sys *dora.System, build func(*dora.Transaction)) error {
+	if sys == nil {
+		tx := dora.NewFlow()
+		build(tx)
+		return dora.RunConventional(e, tx, 0)
+	}
+	tx := sys.NewTransaction()
+	build(tx)
+	return tx.Run()
+}
+
 func TestRegisteredWithWorkloadRegistry(t *testing.T) {
 	drv, err := workload.New("tpcc")
 	if err != nil {
@@ -160,17 +173,13 @@ func TestPaymentMoneyConservation(t *testing.T) {
 	before := sumWarehouseYTD()
 
 	inBase := paymentInput{wID: 1, dID: 1, cWID: 1, cDID: 1, cID: 3, amount: 100}
-	txn := e.Begin()
-	if err := d.paymentConventional(e, txn, inBase, engine.Conventional()); err != nil {
-		t.Fatalf("paymentConventional: %v", err)
-	}
-	if err := e.Commit(txn); err != nil {
-		t.Fatal(err)
+	if err := runFlow(e, nil, func(tx *dora.Transaction) { d.payment(tx, inBase) }); err != nil {
+		t.Fatalf("conventional Payment: %v", err)
 	}
 
 	inDORA := paymentInput{wID: 2, dID: 2, cWID: 2, cDID: 2, cID: 0, cLast: workload.LastName(5), amount: 50}
-	if err := d.paymentDORA(sys, inDORA); err != nil {
-		t.Fatalf("paymentDORA: %v", err)
+	if err := runFlow(e, sys, func(tx *dora.Transaction) { d.payment(tx, inDORA) }); err != nil {
+		t.Fatalf("DORA Payment: %v", err)
 	}
 
 	after := sumWarehouseYTD()
@@ -191,8 +200,8 @@ func TestRemotePaymentRoutesToRemoteExecutor(t *testing.T) {
 	// "distributed" in any special way (§4.1.2).
 	d, e, sys := newLoaded(t, true)
 	in := paymentInput{wID: 1, dID: 1, cWID: 2, cDID: 3, cID: 7, amount: 10}
-	if err := d.paymentDORA(sys, in); err != nil {
-		t.Fatalf("remote paymentDORA: %v", err)
+	if err := runFlow(e, sys, func(tx *dora.Transaction) { d.payment(tx, in) }); err != nil {
+		t.Fatalf("remote DORA Payment: %v", err)
 	}
 	txn := e.Begin()
 	rec, err := e.Probe(txn, "CUSTOMER", ik(2, 3, 7), engine.Conventional())
@@ -222,8 +231,8 @@ func TestNewOrderIncrementsDistrictAndInsertsRows(t *testing.T) {
 	ordersBefore, linesBefore := orders.NumRecords(), lines.NumRecords()
 
 	in := newOrderInput{wID: 1, dID: 1, cID: 5, items: []int64{1, 2, 3}, quantities: []int64{1, 2, 3}}
-	if err := d.newOrderDORA(sys, in); err != nil {
-		t.Fatalf("newOrderDORA: %v", err)
+	if err := runFlow(e, sys, func(tx *dora.Transaction) { newOrder(tx, in) }); err != nil {
+		t.Fatalf("DORA NewOrder: %v", err)
 	}
 	if got := readNextOID(1, 1); got != beforeOID+1 {
 		t.Fatalf("next_o_id = %d, want %d", got, beforeOID+1)
@@ -237,17 +246,15 @@ func TestNewOrderIncrementsDistrictAndInsertsRows(t *testing.T) {
 
 	// Conventional NewOrder with an invalid item aborts and leaves no rows.
 	bad := newOrderInput{wID: 1, dID: 2, cID: 1, items: []int64{d.Items + 100}, quantities: []int64{1}, invalid: true}
-	txn := e.Begin()
-	if err := d.newOrderConventional(e, txn, bad, engine.Conventional()); err == nil {
+	if err := runFlow(e, nil, func(tx *dora.Transaction) { newOrder(tx, bad) }); err == nil {
 		t.Fatal("invalid item accepted")
 	}
-	e.Abort(txn)
 	if orders.NumRecords() != ordersBefore+1 {
 		t.Fatal("aborted NewOrder left rows in ORDERS")
 	}
 
 	// DORA NewOrder with an invalid item also aborts cleanly.
-	if err := d.newOrderDORA(sys, bad); err == nil {
+	if err := runFlow(e, sys, func(tx *dora.Transaction) { newOrder(tx, bad) }); err == nil {
 		t.Fatal("invalid DORA NewOrder accepted")
 	}
 	if got := readNextOID(1, 2); got != initialOrdersPerDistrict+1 {
@@ -256,17 +263,18 @@ func TestNewOrderIncrementsDistrictAndInsertsRows(t *testing.T) {
 }
 
 func TestOrderStatusFindsLatestOrder(t *testing.T) {
-	d, e, sys := newLoaded(t, true)
+	_, e, sys := newLoaded(t, true)
 	// Create two orders for customer (1,1,9); OrderStatus must read lines of
 	// the newest one without error.
 	for i := 0; i < 2; i++ {
 		in := newOrderInput{wID: 1, dID: 1, cID: 9, items: []int64{4, 5}, quantities: []int64{1, 1}}
-		if err := d.newOrderDORA(sys, in); err != nil {
-			t.Fatalf("newOrderDORA: %v", err)
+		if err := runFlow(e, sys, func(tx *dora.Transaction) { newOrder(tx, in) }); err != nil {
+			t.Fatalf("DORA NewOrder: %v", err)
 		}
 	}
-	if err := d.orderStatusDORA(sys, orderStatusInput{wID: 1, dID: 1, cID: 9}); err != nil {
-		t.Fatalf("orderStatusDORA by id: %v", err)
+	byID := orderStatusInput{wID: 1, dID: 1, cID: 9}
+	if err := runFlow(e, sys, func(tx *dora.Transaction) { orderStatus(tx, byID) }); err != nil {
+		t.Fatalf("DORA OrderStatus by id: %v", err)
 	}
 	txn := e.Begin()
 	rec, err := e.Probe(txn, "CUSTOMER", ik(1, 1, 9), engine.Conventional())
@@ -275,15 +283,16 @@ func TestOrderStatusFindsLatestOrder(t *testing.T) {
 	}
 	last := rec[3].Str
 	e.Commit(txn)
-	if err := d.orderStatusDORA(sys, orderStatusInput{wID: 1, dID: 1, cLast: last}); err != nil {
-		t.Fatalf("orderStatusDORA by name: %v", err)
+	byName := orderStatusInput{wID: 1, dID: 1, cLast: last}
+	if err := runFlow(e, sys, func(tx *dora.Transaction) { orderStatus(tx, byName) }); err != nil {
+		t.Fatalf("DORA OrderStatus by name: %v", err)
 	}
-	// Baseline path, both selection modes.
-	txn2 := e.Begin()
-	if err := d.orderStatusConventional(e, txn2, orderStatusInput{wID: 1, dID: 1, cID: 9}, engine.Conventional()); err != nil {
-		t.Fatalf("orderStatusConventional: %v", err)
+	// Thread-to-transaction, both selection modes.
+	for _, in := range []orderStatusInput{byID, byName} {
+		if err := runFlow(e, nil, func(tx *dora.Transaction) { orderStatus(tx, in) }); err != nil {
+			t.Fatalf("conventional OrderStatus %+v: %v", in, err)
+		}
 	}
-	e.Commit(txn2)
 }
 
 func TestGenNewOrderInvalidRate(t *testing.T) {

@@ -135,129 +135,80 @@ func abortable(err error) bool {
 		errors.Is(err, dora.ErrOverloaded)
 }
 
-// RunBaseline implements workload.Driver.
+// RunBaseline implements workload.Driver: the kind's flow graph runs
+// thread-to-transaction on the calling goroutine. StockLevel has no flow
+// graph (its DORA form is a snapshot read), so it runs stockLevelConventional.
 func (d *Driver) RunBaseline(e *engine.Engine, kind string, rng *rand.Rand, workerID int) error {
-	opt := engine.Conventional()
-	opt.WorkerID = workerID
-	txn := e.Begin()
-	var err error
-	switch kind {
-	case Payment:
-		err = d.paymentConventional(e, txn, d.genPayment(rng), opt)
-	case OrderStatus:
-		err = d.orderStatusConventional(e, txn, d.genOrderStatus(rng), opt)
-	case NewOrder:
-		err = d.newOrderConventional(e, txn, d.genNewOrder(rng), opt)
-	case Delivery:
-		_, err = d.deliveryConventional(e, txn, d.genDelivery(rng), opt)
-	case StockLevel:
-		_, err = d.stockLevelConventional(e, txn, d.genStockLevel(rng), opt)
-	default:
-		e.Abort(txn)
-		return fmt.Errorf("tpcc: unknown transaction kind %q", kind)
-	}
-	if err != nil {
-		e.Abort(txn)
-		if abortable(err) {
-			return fmt.Errorf("%w: %w", workload.ErrAborted, err)
+	if kind == StockLevel {
+		opt := engine.Conventional()
+		opt.WorkerID = workerID
+		txn := e.Begin()
+		if _, err := d.stockLevelConventional(e, txn, d.genStockLevel(rng), opt); err != nil {
+			e.Abort(txn)
+			return classify(err)
 		}
+		return e.Commit(txn)
+	}
+	tx := dora.NewFlow()
+	if err := d.flow(tx, kind, rng); err != nil {
 		return err
 	}
-	return e.Commit(txn)
+	return classify(dora.RunConventional(e, tx, workerID))
 }
 
-// RunDORA implements workload.Driver.
+// RunDORA implements workload.Driver: the kind's flow graph runs on the
+// executors owning its datasets; StockLevel reads one snapshot.
 func (d *Driver) RunDORA(sys *dora.System, kind string, rng *rand.Rand, workerID int) error {
 	_ = workerID
-	var err error
-	switch kind {
-	case Payment:
-		err = d.paymentDORA(sys, d.genPayment(rng))
-	case OrderStatus:
-		err = d.orderStatusDORA(sys, d.genOrderStatus(rng))
-	case NewOrder:
-		err = d.newOrderDORA(sys, d.genNewOrder(rng))
-	case Delivery:
-		err = d.deliveryDORA(sys, d.genDelivery(rng))
-	case StockLevel:
-		_, err = d.stockLevelSnapshot(sys, d.genStockLevel(rng))
-	default:
-		return fmt.Errorf("tpcc: unknown transaction kind %q", kind)
+	if kind == StockLevel {
+		_, err := d.stockLevelSnapshot(sys, d.genStockLevel(rng))
+		return classify(err)
 	}
+	tx := sys.NewTransaction()
+	if err := d.flow(tx, kind, rng); err != nil {
+		return err
+	}
+	return classify(tx.Run())
+}
+
+// classify marks abortable failures as the benchmark's aborts.
+func classify(err error) error {
 	if err != nil && abortable(err) {
 		return fmt.Errorf("%w: %w", workload.ErrAborted, err)
 	}
 	return err
 }
 
+// flow adds one transaction of the given kind, StockLevel excepted, to tx,
+// drawing its inputs from rng.
+func (d *Driver) flow(tx *dora.Transaction, kind string, rng *rand.Rand) error {
+	switch kind {
+	case Payment:
+		d.payment(tx, d.genPayment(rng))
+	case OrderStatus:
+		orderStatus(tx, d.genOrderStatus(rng))
+	case NewOrder:
+		newOrder(tx, d.genNewOrder(rng))
+	case Delivery:
+		delivery(tx, d.genDelivery(rng), nil)
+	default:
+		return fmt.Errorf("tpcc: unknown transaction kind %q", kind)
+	}
+	return nil
+}
+
 // --- Payment -------------------------------------------------------------
 
-// middleMatch returns the middle entry of a by-name lookup, the customer the
-// TPC-C specification selects when several share a last name.
+// middleMatch returns the customer a by-name lookup selects: of the n
+// matches, ordered by RID, the one at index n/2. This is a known deviation
+// from the TPC-C specification (§2.5.2.2), which orders the customers sharing
+// a last name by C_FIRST and takes the one at position ceil(n/2).
 func middleMatch(matches []engine.IndexMatch) (engine.IndexMatch, error) {
 	if len(matches) == 0 {
 		return engine.IndexMatch{}, engine.ErrNotFound
 	}
 	sort.Slice(matches, func(i, j int) bool { return matches[i].RID.Key() < matches[j].RID.Key() })
 	return matches[len(matches)/2], nil
-}
-
-// paymentCustomerUpdate applies the Payment balance update to the customer
-// selected either by id or by last name.
-func paymentCustomerUpdate(in paymentInput,
-	byPK func(pk storage.Key, fn func(storage.Tuple) (storage.Tuple, error)) error,
-	lookup func(key storage.Key) ([]engine.IndexMatch, error),
-	byRID func(rid storage.RID, fn func(storage.Tuple) (storage.Tuple, error)) error) error {
-	apply := applyPayment(in.amount)
-	if in.cID != 0 {
-		return byPK(ik(in.cWID, in.cDID, in.cID), apply)
-	}
-	matches, err := lookup(storage.EncodeKey(
-		storage.IntValue(in.cWID), storage.IntValue(in.cDID), storage.StringValue(in.cLast)))
-	if err != nil {
-		return err
-	}
-	m, err := middleMatch(matches)
-	if err != nil {
-		return err
-	}
-	return byRID(m.RID, apply)
-}
-
-func (d *Driver) paymentConventional(e *engine.Engine, txn *engine.Txn, in paymentInput, opt engine.AccessOptions) error {
-	if err := e.Update(txn, "WAREHOUSE", ik(in.wID), opt, func(tu storage.Tuple) (storage.Tuple, error) {
-		tu[3] = storage.FloatValue(tu[3].Float + in.amount)
-		return tu, nil
-	}); err != nil {
-		return err
-	}
-	if err := e.Update(txn, "DISTRICT", ik(in.wID, in.dID), opt, func(tu storage.Tuple) (storage.Tuple, error) {
-		tu[4] = storage.FloatValue(tu[4].Float + in.amount)
-		return tu, nil
-	}); err != nil {
-		return err
-	}
-	err := paymentCustomerUpdate(in,
-		func(pk storage.Key, fn func(storage.Tuple) (storage.Tuple, error)) error {
-			return e.Update(txn, "CUSTOMER", pk, opt, fn)
-		},
-		func(key storage.Key) ([]engine.IndexMatch, error) {
-			return e.SecondaryLookup(txn, "CUSTOMER", "by_name", key, opt)
-		},
-		func(rid storage.RID, fn func(storage.Tuple) (storage.Tuple, error)) error {
-			return e.UpdateRID(txn, "CUSTOMER", rid, opt, fn)
-		})
-	if err != nil {
-		return err
-	}
-	hist := storage.Tuple{
-		storage.IntValue(d.historyID.Add(1)),
-		storage.IntValue(in.cID), storage.IntValue(in.cDID), storage.IntValue(in.cWID),
-		storage.IntValue(in.dID), storage.IntValue(in.wID),
-		storage.FloatValue(in.amount),
-	}
-	_, err = e.Insert(txn, "HISTORY", hist, opt)
-	return err
 }
 
 // applyPayment returns the customer-row mutation of a Payment.
@@ -270,7 +221,7 @@ func applyPayment(amount float64) func(storage.Tuple) (storage.Tuple, error) {
 	}
 }
 
-// paymentDORA is the paper's running example (Figure 4): the Warehouse,
+// payment adds the Payment flow graph, the paper's running example (Figure 4): the Warehouse,
 // District, and Customer actions form the first phase (each merging the probe
 // with the update because they share an identifier), and an RVP separates
 // them from the History insert, which depends on them.
@@ -283,8 +234,7 @@ func applyPayment(amount float64) func(storage.Tuple) (storage.Tuple, error) {
 // (resolve-then-forward), and phase 2 inserts the History row. The forwarded
 // action re-acquires the phase-0 claim reentrantly, so the out-of-band
 // forward cannot deadlock.
-func (d *Driver) paymentDORA(sys *dora.System, in paymentInput) error {
-	tx := sys.NewTransaction()
+func (d *Driver) payment(tx *dora.Transaction, in paymentInput) {
 	tx.Add(0, &dora.Action{
 		Table: "WAREHOUSE", Key: ik(in.wID), Mode: dora.Exclusive,
 		Work: func(s *dora.Scope) error {
@@ -353,66 +303,20 @@ func (d *Driver) paymentDORA(sys *dora.System, in paymentInput) error {
 			return err
 		},
 	})
-	return tx.Run()
 }
 
 // --- OrderStatus -----------------------------------------------------------
 
-func (d *Driver) orderStatusConventional(e *engine.Engine, txn *engine.Txn, in orderStatusInput, opt engine.AccessOptions) error {
-	cID := in.cID
-	if cID == 0 {
-		matches, err := e.SecondaryLookup(txn, "CUSTOMER", "by_name",
-			storage.EncodeKey(storage.IntValue(in.wID), storage.IntValue(in.dID), storage.StringValue(in.cLast)), opt)
-		if err != nil {
-			return err
-		}
-		m, err := middleMatch(matches)
-		if err != nil {
-			return err
-		}
-		rec, err := e.ProbeRID(txn, "CUSTOMER", m.RID, opt)
-		if err != nil {
-			return err
-		}
-		cID = rec[2].Int
-	} else if _, err := e.Probe(txn, "CUSTOMER", ik(in.wID, in.dID, cID), opt); err != nil {
-		return err
-	}
-	oID, err := latestOrderOf(func(key storage.Key) ([]engine.IndexMatch, error) {
-		return e.SecondaryLookup(txn, "ORDERS", "by_customer", key, opt)
-	}, func(rid storage.RID) (storage.Tuple, error) {
-		return e.ProbeRID(txn, "ORDERS", rid, opt)
-	}, in.wID, in.dID, cID)
-	if err != nil {
-		return err
-	}
-	lines := 0
-	err = e.ScanPrefix(txn, "ORDER_LINE", ik(in.wID, in.dID, oID), opt, func(storage.Tuple) bool {
-		lines++
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if lines == 0 {
-		return engine.ErrNotFound
-	}
-	return nil
-}
-
 // latestOrderOf finds the most recent order id of a customer via the
 // by-customer secondary index.
-func latestOrderOf(lookup func(storage.Key) ([]engine.IndexMatch, error), probe func(storage.RID) (storage.Tuple, error), wID, dID, cID int64) (int64, error) {
-	matches, err := lookup(ik(wID, dID, cID))
+func latestOrderOf(s *dora.Scope, wID, dID, cID int64) (int64, error) {
+	matches, err := s.SecondaryLookup("ORDERS", "by_customer", ik(wID, dID, cID))
 	if err != nil {
 		return 0, err
 	}
-	if len(matches) == 0 {
-		return 0, engine.ErrNotFound
-	}
 	best := int64(-1)
 	for _, m := range matches {
-		rec, err := probe(m.RID)
+		rec, err := s.ProbeRID("ORDERS", m.RID)
 		if err != nil {
 			continue
 		}
@@ -426,15 +330,14 @@ func latestOrderOf(lookup func(storage.Key) ([]engine.IndexMatch, error), probe 
 	return best, nil
 }
 
-// orderStatusDORA: customer resolution, then the last order, then its lines.
+// orderStatus adds the OrderStatus flow graph: customer resolution, then the last order, then its lines.
 // The phases encode the data dependencies (customer id -> order id -> lines).
 // When the customer is selected by last name, phase 0 claims the flow's lock
 // footprint and a phase-1 secondary action resolves the customer through the
 // by-name index off the executor threads, forwarding the customer probe to
 // the owning executor (resolve-then-forward, §4.2.2); the by-id variant keeps
 // the direct three-phase shape.
-func (d *Driver) orderStatusDORA(sys *dora.System, in orderStatusInput) error {
-	tx := sys.NewTransaction()
+func orderStatus(tx *dora.Transaction, in orderStatusInput) {
 	customerPhase := 0
 	if in.cID != 0 {
 		tx.Add(0, &dora.Action{
@@ -485,11 +388,7 @@ func (d *Driver) orderStatusDORA(sys *dora.System, in orderStatusInput) error {
 			if !ok {
 				return errors.New("tpcc: customer phase did not run")
 			}
-			oID, err := latestOrderOf(func(key storage.Key) ([]engine.IndexMatch, error) {
-				return s.SecondaryLookup("ORDERS", "by_customer", key)
-			}, func(rid storage.RID) (storage.Tuple, error) {
-				return s.ProbeRID("ORDERS", rid)
-			}, in.wID, in.dID, v.(int64))
+			oID, err := latestOrderOf(s, in.wID, in.dID, v.(int64))
 			if err != nil {
 				return err
 			}
@@ -518,81 +417,17 @@ func (d *Driver) orderStatusDORA(sys *dora.System, in orderStatusInput) error {
 			return nil
 		},
 	})
-	return tx.Run()
 }
 
 // --- NewOrder ---------------------------------------------------------------
 
-func (d *Driver) newOrderConventional(e *engine.Engine, txn *engine.Txn, in newOrderInput, opt engine.AccessOptions) error {
-	if _, err := e.Probe(txn, "WAREHOUSE", ik(in.wID), opt); err != nil {
-		return err
-	}
-	if _, err := e.Probe(txn, "CUSTOMER", ik(in.wID, in.dID, in.cID), opt); err != nil {
-		return err
-	}
-	var oID int64
-	if err := e.Update(txn, "DISTRICT", ik(in.wID, in.dID), opt, func(tu storage.Tuple) (storage.Tuple, error) {
-		oID = tu[5].Int
-		tu[5] = storage.IntValue(oID + 1)
-		return tu, nil
-	}); err != nil {
-		return err
-	}
-	// Validate items and compute amounts before inserting anything, so an
-	// invalid item aborts with minimal wasted work.
-	prices := make([]float64, len(in.items))
-	for i, item := range in.items {
-		rec, err := e.Probe(txn, "ITEM", ik(item), opt)
-		if err != nil {
-			return err
-		}
-		prices[i] = rec[2].Float
-	}
-	order := storage.Tuple{
-		storage.IntValue(in.wID), storage.IntValue(in.dID), storage.IntValue(oID),
-		storage.IntValue(in.cID), storage.IntValue(0), storage.IntValue(int64(len(in.items))),
-	}
-	if _, err := e.Insert(txn, "ORDERS", order, opt); err != nil {
-		return err
-	}
-	if _, err := e.Insert(txn, "NEW_ORDER", storage.Tuple{
-		storage.IntValue(in.wID), storage.IntValue(in.dID), storage.IntValue(oID),
-	}, opt); err != nil {
-		return err
-	}
-	for i, item := range in.items {
-		if err := e.Update(txn, "STOCK", ik(in.wID, item), opt, func(tu storage.Tuple) (storage.Tuple, error) {
-			q := tu[2].Int - in.quantities[i]
-			if q < 10 {
-				q += 91
-			}
-			tu[2] = storage.IntValue(q)
-			tu[3] = storage.IntValue(tu[3].Int + in.quantities[i])
-			tu[4] = storage.IntValue(tu[4].Int + 1)
-			return tu, nil
-		}); err != nil {
-			return err
-		}
-		line := storage.Tuple{
-			storage.IntValue(in.wID), storage.IntValue(in.dID), storage.IntValue(oID), storage.IntValue(int64(i + 1)),
-			storage.IntValue(item), storage.IntValue(in.quantities[i]),
-			storage.FloatValue(prices[i] * float64(in.quantities[i])),
-		}
-		if _, err := e.Insert(txn, "ORDER_LINE", line, opt); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// newOrderDORA: phase 0 reads the warehouse, customer, and items and
+// newOrder adds the NewOrder flow graph: phase 0 reads the warehouse, customer, and items and
 // increments the district's next order id; phase 1 (after the RVP resolves
 // the order-id dependency) inserts the order, the new-order entry, the order
 // lines, and applies the stock updates. Actions touching the same dataset
 // (all the stock rows of the warehouse; all the order lines) are merged into
 // one action each, as their identifiers coincide.
-func (d *Driver) newOrderDORA(sys *dora.System, in newOrderInput) error {
-	tx := sys.NewTransaction()
+func newOrder(tx *dora.Transaction, in newOrderInput) {
 	tx.Add(0, &dora.Action{
 		Table: "WAREHOUSE", Key: ik(in.wID), Mode: dora.Shared,
 		Work: func(s *dora.Scope) error {
@@ -720,5 +555,4 @@ func (d *Driver) newOrderDORA(sys *dora.System, in newOrderInput) error {
 			return nil
 		},
 	})
-	return tx.Run()
 }
