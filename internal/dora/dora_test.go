@@ -33,6 +33,14 @@ func newBankSystem(t testing.TB, executors int) (*System, *engine.Engine) {
 func newBankEngine(t testing.TB) *engine.Engine {
 	t.Helper()
 	e := engine.New(engine.Config{BufferPoolFrames: 512})
+	createBankTables(t, e)
+	return e
+}
+
+// createBankTables creates the bank schema on e and closes e when the test
+// ends.
+func createBankTables(t testing.TB, e *engine.Engine) {
+	t.Helper()
 	_, err := e.CreateTable(engine.TableDef{
 		Name: "accounts",
 		Schema: storage.NewSchema(
@@ -62,7 +70,6 @@ func newBankEngine(t testing.TB) *engine.Engine {
 		t.Fatalf("CreateTable history: %v", err)
 	}
 	t.Cleanup(func() { e.Close() })
-	return e
 }
 
 func accountTuple(branch, id int64, owner string, balance float64) storage.Tuple {

@@ -309,9 +309,17 @@ func (e *Executor) run() {
 		for _, fn := range barriers {
 			fn()
 		}
-		e.statHeld.Store(int64(e.locks.size()))
-		e.statWaiting.Store(int64(e.locks.waiterCount()))
+		e.storeLockGauges()
 	}
+}
+
+// storeLockGauges publishes the local lock table's census to Stats. The run
+// loop calls it after each batch, and releaseTxn as soon as a release wakes
+// waiters: a woken action can commit and acknowledge its client inline,
+// before the batch ends, and the client must not read a stale gauge.
+func (e *Executor) storeLockGauges() {
+	e.statHeld.Store(int64(e.locks.size()))
+	e.statWaiting.Store(int64(e.locks.waiterCount()))
 }
 
 // regionGate is the growing side of one in-flight boundary move: actions for
@@ -449,6 +457,7 @@ func (e *Executor) releaseTxn(txnID uint64) {
 		return
 	}
 	e.statWoken.Add(uint64(len(runnable)))
+	e.storeLockGauges()
 	for _, a := range runnable {
 		if e.tryExecute(a) {
 			releaseBoundAction(a)

@@ -507,12 +507,16 @@ func (t *Transaction) registerParticipant(e *Executor) bool {
 	return true
 }
 
-// finalize commits the transaction: it hands the commit record to the
-// engine's group-commit pipeline and returns immediately, so the executor
-// that zeroed the terminal RVP keeps processing other transactions' actions
-// while the log flush is in flight (steps 9-12 of Appendix A.1: one-off log
-// flush, async lock release). The lock-releasing completion messages go out
-// early, before the flush; the client is released once it is durable.
+// finalize commits the transaction: it hands the commit to the engine's
+// group-commit pipeline and returns without waiting for the log, so the
+// executor that zeroed the terminal RVP keeps processing other transactions'
+// actions while the flush is in flight (steps 9-12 of Appendix A.1: one-off
+// log flush, async lock release). The lock-releasing completion messages go
+// out early, before the flush; the client is released once the commit is
+// durable. A transaction that changed nothing has no commit record to flush:
+// when the log already covers every commit it could have read, the engine
+// acknowledges it on this executor, inside CommitAsync, and the client is
+// released before finalize returns.
 func (t *Transaction) finalize() {
 	if !t.state.CompareAndSwap(flowRunning, flowCommitted) {
 		return
@@ -542,11 +546,12 @@ func (t *Transaction) finalize() {
 	}
 	// Early lock release: the completion messages that free the local locks
 	// go out as soon as the commit record has its LSN and its completion is
-	// registered — before it is durable. A dependent that sees this
-	// transaction's effects commits at a higher LSN, so its completion (commit
-	// epoch) and client ack both follow this one's (engine.CommitAsync). The
-	// state already left flowRunning (CAS above), so the broadcast cannot race
-	// a completeAbort — only one of the two paths ever runs.
+	// registered — before it is durable (for a read-only transaction, as soon
+	// as its ack is decided). A dependent that sees this transaction's
+	// effects commits at a higher LSN, so its completion (commit epoch) and
+	// client ack both follow this one's (engine.CommitAsync). The state
+	// already left flowRunning (CAS above), so the broadcast cannot race a
+	// completeAbort — only one of the two paths ever runs.
 	t.eng.CommitAsync(t.txn, func() {
 		t.broadcastCompletions()
 		if col := t.sys.collector(); col != nil {

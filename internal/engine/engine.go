@@ -108,6 +108,11 @@ type Engine struct {
 
 	nextTxn atomic.Uint64
 
+	// commitHigh is the highest commit-record LSN appended, raised before the
+	// committer's early lock release. An unlogged (read-only) commit is
+	// acknowledged once the log is durable up to it (CommitAsync).
+	commitHigh atomic.Uint64
+
 	// health is the availability state machine (health.go): Healthy until a
 	// permanent log-device failure degrades the engine to read-only, Failed
 	// once in-memory state is unrecoverable.

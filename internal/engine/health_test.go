@@ -199,3 +199,31 @@ func TestConcurrentCommitsOnFailedDeviceStayTyped(t *testing.T) {
 		t.Fatalf("Health = %v, want degraded-read-only", got)
 	}
 }
+
+// Begin on a closed log hands out a born-aborted transaction: with BEGIN
+// logged lazily, Begin itself appends nothing, so it checks the log's closed
+// flag instead of failing an append.
+func TestBeginOnClosedLogIsBornAborted(t *testing.T) {
+	e, _ := newAccountsEngine(t)
+	defer e.Close()
+	if err := e.Log().Close(); err != nil {
+		t.Fatalf("closing the log: %v", err)
+	}
+	appends := e.Log().Appends()
+	txn := e.Begin()
+	if txn.Active() || txn.State() != TxnAborted {
+		t.Fatalf("Begin on a closed log: state %v, want aborted", txn.State())
+	}
+	if _, err := e.Probe(txn, "accounts", pkOf(1), Conventional()); !errors.Is(err, ErrTxnDone) {
+		t.Fatalf("Probe on born-aborted txn = %v, want ErrTxnDone", err)
+	}
+	if _, err := e.Insert(txn, "accounts", account(1, 1, "x", 1), Conventional()); !errors.Is(err, ErrTxnDone) {
+		t.Fatalf("Insert on born-aborted txn = %v, want ErrTxnDone", err)
+	}
+	if err := e.Commit(txn); !errors.Is(err, ErrTxnDone) {
+		t.Fatalf("Commit of born-aborted txn = %v, want ErrTxnDone", err)
+	}
+	if got := e.Log().Appends(); got != appends {
+		t.Fatalf("born-aborted txn appended %d records, want 0", got-appends)
+	}
+}

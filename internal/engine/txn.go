@@ -2,8 +2,8 @@ package engine
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"dora/internal/lockmgr"
@@ -69,10 +69,11 @@ type Txn struct {
 }
 
 // recordPool recycles wal.Record allocations: the ops path builds one record
-// per mutation and the commit path four markers per transaction, which at
-// high throughput is the dominant allocation on the critical path. A record
-// may be recycled as soon as Append returns — the manager encodes it into the
-// log buffer synchronously and retains no reference.
+// per mutation and a writer logs three markers (BEGIN, COMMIT or ABORT, END),
+// which at high throughput is the dominant allocation on the critical path. A
+// transaction that changes nothing logs no marker at all. A record may be
+// recycled as soon as Append returns — the manager encodes it into the log
+// buffer synchronously and retains no reference.
 var recordPool = sync.Pool{New: func() any { return new(wal.Record) }}
 
 // newRecord returns a zeroed record from the pool.
@@ -85,10 +86,23 @@ func recycleRecord(r *wal.Record) {
 }
 
 // appendTxn appends one record on the transaction's behalf, threading the
-// transaction's PrevLSN chain through it.
+// transaction's PrevLSN chain through it. BEGIN is logged lazily: the
+// transaction's first record is preceded by its BEGIN, which wal.Manager.Append
+// registers in the checkpoint active set. A transaction that never logs a
+// change therefore never appears in the log at all.
 func (e *Engine) appendTxn(t *Txn, r *wal.Record) (wal.LSN, error) {
 	t.chainMu.Lock()
 	defer t.chainMu.Unlock()
+	if t.lastLSN == wal.NilLSN {
+		begin := newRecord()
+		begin.Txn, begin.Type = t.walID(), wal.RecBegin
+		lsn, err := e.log.Append(begin)
+		recycleRecord(begin)
+		if err != nil {
+			return wal.NilLSN, err
+		}
+		t.lastLSN = lsn
+	}
 	r.PrevLSN = t.lastLSN
 	lsn, err := e.log.Append(r)
 	if err == nil {
@@ -97,8 +111,8 @@ func (e *Engine) appendTxn(t *Txn, r *wal.Record) (wal.LSN, error) {
 	return lsn, err
 }
 
-// appendMarker logs one pooled bodyless record (BEGIN/COMMIT/ABORT/END) on
-// the transaction's chain and recycles it.
+// appendMarker logs one pooled bodyless record (COMMIT/ABORT/END) on the
+// chain of a logged transaction and recycles it.
 func (e *Engine) appendMarker(t *Txn, typ wal.RecordType, epoch uint64) (wal.LSN, error) {
 	r := newRecord()
 	r.Txn, r.Type, r.Epoch = t.walID(), typ, epoch
@@ -107,24 +121,28 @@ func (e *Engine) appendMarker(t *Txn, typ wal.RecordType, epoch uint64) (wal.LSN
 	return lsn, err
 }
 
-// Begin starts a new transaction. If the engine's log has been closed the
-// returned transaction is already aborted and every operation on it fails
-// with ErrTxnDone. If the log device has failed permanently the transaction
-// starts active but unlogged: reads work, state-changing operations are
-// refused with ErrReadOnly, and a read-only commit succeeds without touching
-// the log — degraded read-only service instead of a dead engine.
+// logged reports whether the transaction has appended any record (its lazy
+// BEGIN). An unlogged transaction has changed nothing, so it commits and
+// aborts without a record.
+func (t *Txn) logged() bool {
+	t.chainMu.Lock()
+	defer t.chainMu.Unlock()
+	return t.lastLSN != wal.NilLSN
+}
+
+// Begin starts a new transaction. It writes nothing to the log: BEGIN is
+// appended with the transaction's first change (appendTxn). If the engine
+// has failed or its log has been closed, the returned transaction is already
+// aborted and every operation on it fails with ErrTxnDone. If the log device
+// has failed permanently the transaction starts active: reads work,
+// state-changing operations are refused with ErrReadOnly, and a read-only
+// commit succeeds without touching the log — degraded read-only service
+// instead of a dead engine.
 func (e *Engine) Begin() *Txn {
 	id := e.nextTxn.Add(1)
 	t := &Txn{id: id, engine: e, state: TxnActive}
-	if Health(e.health.Load()) == HealthFailed {
+	if Health(e.health.Load()) == HealthFailed || e.log.Closed() {
 		t.state = TxnAborted
-		return t
-	}
-	if _, err := e.appendMarker(t, wal.RecBegin, 0); err != nil {
-		e.noteLogError(err)
-		if !errors.Is(err, wal.ErrDeviceFailed) {
-			t.state = TxnAborted
-		}
 	}
 	return t
 }
@@ -166,16 +184,6 @@ func (t *Txn) addCleanup(tbl *Table, before storage.Tuple, rid storage.RID) {
 	t.mu.Unlock()
 }
 
-// readOnly reports whether the transaction has made no changes — nothing to
-// undo, no versions installed, no deferred cleanups. A read-only transaction
-// needs no durable commit record, which is what lets it commit on a degraded
-// (read-only) engine whose log device is gone.
-func (t *Txn) readOnly() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.undo) == 0 && len(t.pending) == 0 && len(t.cleanups) == 0
-}
-
 func (t *Txn) ensureActive() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -194,29 +202,43 @@ func (e *Engine) Commit(t *Txn) error {
 	return <-done
 }
 
-// CommitAsync is the engine's single commit path. It appends the commit
-// record, registers the completion with the log's flusher, and then calls
-// release (when non-nil) without waiting for durability; done(err) runs
-// later, exactly once. On success it runs on the flusher once the record is
-// durable, after finishCommit (version stamping, centralized lock release,
-// the END record). Its callers therefore never block on the log, which is
-// what lets a DORA executor dispatch a commit and go on with other
-// transactions' actions.
+// CommitAsync is the engine's single commit path. It calls release (when
+// non-nil) without waiting for durability, and done(err) exactly once. Its
+// callers never block on the log, which is what lets a DORA executor dispatch
+// a commit and go on with other transactions' actions.
+//
+// A logged transaction appends its commit record, raises the engine's commit
+// watermark (commitHigh) to that LSN, and registers its completion with the
+// log's flusher. done runs there once the record is durable, after
+// finishCommit (version stamping, centralized lock release, the END record).
+//
+// An unlogged transaction changed nothing, so it wrote no BEGIN and writes no
+// COMMIT. It may be acknowledged once the log is durable up to every commit
+// whose data it could have read, and the commit watermark bounds those: a
+// writer raises it before release, and only release lets others read its
+// data. If the watermark is already durable, the commit finishes inline on
+// the calling goroutine (finishCommit, release, done(nil)), which then yields
+// once, as the flusher does after its completions. Otherwise the completion
+// waits for the watermark on the flusher exactly as a writer's does. On a
+// degraded engine, whose log can make nothing durable, it commits inline,
+// as it did when it logged a COMMIT: it cannot tell whether it read an
+// early-released commit that the device failure lost.
 //
 // release is DORA's early lock release. It runs exactly once, on the calling
-// goroutine, on every path. On success it runs after the completion is
-// registered. A dependent that release unblocks appends its commit record,
-// and registers its completion, only after that, so it gets a higher LSN.
-// Completions run in LSN order (wal.Manager), so the dependent's
+// goroutine, on every path. On the flusher path it runs after the completion
+// is registered. A dependent that release unblocks appends its commit
+// record, and registers its completion, only after that, so it gets a higher
+// LSN. Completions run in LSN order (wal.Manager), so the dependent's
 // finishCommit, and with it its commit epoch, always follows ours. Its
 // durability ack trails ours too, because LSNs become durable in order.
 //
 // A commit that cannot be vouched for is not acknowledged: done gets an
 // error, and the transaction stays active so the caller can roll it back.
-// This covers an append the log refuses, and a record that a failed device
-// never made durable. Durability is judged by this commit's own LSN against
-// the durable watermark, not by the global error latch: a later flush's
-// failure must not un-acknowledge an earlier durable commit.
+// This covers an append the log refuses, and a record (or, for an unlogged
+// transaction, a watermark) that a failed device never made durable.
+// Durability is judged by that LSN against the durable watermark, not by the
+// global error latch: a later flush's failure must not un-acknowledge an
+// earlier durable commit.
 func (e *Engine) CommitAsync(t *Txn, release func(), done func(error)) {
 	if release == nil {
 		release = func() {}
@@ -226,22 +248,46 @@ func (e *Engine) CommitAsync(t *Txn, release func(), done func(error)) {
 		done(err)
 		return
 	}
+	if !t.logged() {
+		upto := wal.LSN(e.commitHigh.Load())
+		if e.log.FlushedLSN() >= upto || e.Health() == HealthDegradedReadOnly {
+			e.finishCommit(t)
+			release()
+			done(nil)
+			// The ack woke the client, which the scheduler queues behind
+			// this goroutine, and a caller that no longer blocks on the log
+			// would keep the flusher waiting too: without this yield,
+			// tm1_mix p99 rose 55 % on a 2-vCPU host.
+			runtime.Gosched()
+			return
+		}
+		e.ackWhenDurable(t, upto, done)
+		release()
+		return
+	}
 	commitLSN, err := e.appendMarker(t, wal.RecCommit, 0)
 	if err != nil {
 		e.noteLogError(err)
 		release()
-		// A read-only transaction has nothing that needs durability; let it
-		// commit on a degraded engine so snapshot-free readers keep working.
-		if errors.Is(err, wal.ErrDeviceFailed) && t.readOnly() {
-			e.finishCommit(t)
-			done(nil)
-			return
-		}
 		done(fmt.Errorf("engine: logging commit of txn %d: %w", t.id, err))
 		return
 	}
-	e.log.OnDurable(commitLSN, func() {
-		if e.log.FlushedLSN() < commitLSN {
+	// Raise the commit watermark before release lets anyone read our data.
+	for high := e.commitHigh.Load(); uint64(commitLSN) > high; high = e.commitHigh.Load() {
+		if e.commitHigh.CompareAndSwap(high, uint64(commitLSN)) {
+			break
+		}
+	}
+	e.ackWhenDurable(t, commitLSN, done)
+	release()
+}
+
+// ackWhenDurable registers t's completion with the log's flusher: once the
+// log is durable up to lsn it runs finishCommit and done(nil). If the device
+// fails or closes first, done gets an error and t stays active.
+func (e *Engine) ackWhenDurable(t *Txn, lsn wal.LSN, done func(error)) {
+	e.log.OnDurable(lsn, func() {
+		if e.log.FlushedLSN() < lsn {
 			err := e.log.Err()
 			if err == nil {
 				err = wal.ErrClosed
@@ -253,12 +299,13 @@ func (e *Engine) CommitAsync(t *Txn, release func(), done func(error)) {
 		e.finishCommit(t)
 		done(nil)
 	})
-	release()
 }
 
-// finishCommit runs post-commit processing once the commit record is durable.
-// Except for the degraded read-only path, it runs on the log's flusher, in
-// commit-LSN order.
+// finishCommit runs post-commit processing once the commit is acknowledged.
+// A logged transaction's runs on the log's flusher, in commit-LSN order, once
+// its commit record is durable. An unlogged transaction's runs wherever
+// CommitAsync acknowledged it: inline on the committing goroutine, or on the
+// flusher; it only releases the centralized locks.
 func (e *Engine) finishCommit(t *Txn) {
 	t.mu.Lock()
 	pending := t.pending
@@ -294,7 +341,12 @@ func (e *Engine) finishCommit(t *Txn) {
 	// a dependent is visible and ended at the cut, so is its upstream, so
 	// replay never re-applies an upstream's redo underneath a dependent's
 	// write that the image already holds.
-	if len(pending) > 0 || len(icleanups) > 0 {
+	//
+	// An unlogged transaction stamps nothing and logs no END. It may still
+	// list a pending version: an Insert that failed (a duplicate key, say)
+	// after installing one, which the failure already popped.
+	logged := t.logged()
+	if logged && (len(pending) > 0 || len(icleanups) > 0) {
 		e.epochMu.Lock()
 		epoch := e.visibleEpoch.Load() + 1
 		for _, p := range pending {
@@ -310,7 +362,9 @@ func (e *Engine) finishCommit(t *Txn) {
 		return
 	}
 	e.lm.ReleaseAll(t.lockID())
-	e.appendMarker(t, wal.RecEnd, 0) //nolint:errcheck
+	if logged {
+		e.appendMarker(t, wal.RecEnd, 0) //nolint:errcheck
+	}
 }
 
 // Abort rolls the transaction back: every change is undone youngest-first with
@@ -320,8 +374,12 @@ func (e *Engine) Abort(t *Txn) error {
 		return err
 	}
 	// Rollback proceeds in memory even when the log is closed (the undo list
-	// is in hand); the compensation records below are then best-effort.
-	e.appendMarker(t, wal.RecAbort, 0) //nolint:errcheck
+	// is in hand); the compensation records below are then best-effort. An
+	// unlogged transaction has nothing to undo and logs nothing.
+	logged := t.logged()
+	if logged {
+		e.appendMarker(t, wal.RecAbort, 0) //nolint:errcheck
+	}
 
 	t.mu.Lock()
 	undo := t.undo
@@ -358,7 +416,9 @@ func (e *Engine) Abort(t *Txn) error {
 		p.tbl.versions.popPending(p.rid, t.id)
 	}
 	e.lm.ReleaseAll(t.lockID())
-	e.appendMarker(t, wal.RecEnd, 0) //nolint:errcheck
+	if logged {
+		e.appendMarker(t, wal.RecEnd, 0) //nolint:errcheck
+	}
 	if col := e.Collector(); col != nil {
 		col.TxnAborted()
 	}

@@ -188,10 +188,11 @@ type Manager struct {
 	syncs          atomic.Uint64
 	retries        atomic.Uint64 // device write/fsync attempts retried after a transient fault
 
-	// closed rejects appends once Close has begun; devClosed marks the device
-	// itself released (no further writes possible). devErr latches the first
-	// device failure so Close and Err can surface it.
-	closed     bool
+	// closed rejects appends once Close has begun; it is written under mu
+	// and read lock-free by Closed. devClosed marks the device itself
+	// released (no further writes possible). devErr latches the first device
+	// failure so Close and Err can surface it.
+	closed     atomic.Bool
 	devClosed  bool
 	devErr     error
 	recovering bool
@@ -326,7 +327,7 @@ func Open(opts Options) (*Manager, error) {
 func (m *Manager) Close() error {
 	m.closeOnce.Do(func() {
 		m.mu.Lock()
-		m.closed = true
+		m.closed.Store(true)
 		m.mu.Unlock()
 		close(m.quit)
 		<-m.exited
@@ -353,6 +354,10 @@ func (m *Manager) Close() error {
 	})
 	return m.closeErr
 }
+
+// Closed reports whether Close has begun, after which every Append fails
+// with ErrClosed. It is lock-free.
+func (m *Manager) Closed() bool { return m.closed.Load() }
 
 // Err returns the first device error the manager has observed, wrapped in the
 // ErrDeviceFailed sentinel (nil while the device is healthy).
@@ -441,7 +446,7 @@ func (m *Manager) append(r *Record) (LSN, error) {
 		t0 = time.Now()
 	}
 	m.mu.Lock()
-	if m.closed {
+	if m.closed.Load() {
 		m.mu.Unlock()
 		return NilLSN, ErrClosed
 	}

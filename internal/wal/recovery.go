@@ -181,7 +181,7 @@ func (img *LogImage) ApplyCheckpoint(cut LSN, active map[TxnID]LSN) {
 func (m *Manager) beginRecovery() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
+	if m.closed.Load() {
 		return fmt.Errorf("wal: recover: %w", ErrClosed)
 	}
 	if m.recovering {
