@@ -37,8 +37,9 @@ type Action struct {
 	// cycle — e.g. read-only probes of a table no multi-phase flow holds
 	// exclusively while waiting elsewhere (NewOrder's per-item ITEM probes).
 	Unordered bool
-	// Work is the action body. It runs on the owning executor's goroutine
-	// with DORA access options (no centralized locking for probes and
+	// Work is the action body. It runs on whichever goroutine owns the
+	// action's dataset — the executor goroutine, or a Run caller executing
+	// a single-action phase itself (Transaction.Run) — with DORA access options (no centralized locking for probes and
 	// updates, row-only locks for inserts and deletes).
 	Work func(*Scope) error
 }
@@ -71,8 +72,10 @@ func (t *Transaction) newScope(ex *Executor, phase, worker int) *Scope {
 	return &Scope{flow: t, executor: ex, phase: phase, read: read, write: write}
 }
 
-// Executor returns the executor running the action, or nil for secondary
-// actions, which run on the RVP thread, and under RunConventional.
+// Executor returns the executor whose dataset the action runs on, whether
+// the dataset's owner is the executor goroutine or a Run caller; it is nil
+// for secondary actions, which run on the RVP thread, and under
+// RunConventional.
 func (s *Scope) Executor() *Executor { return s.executor }
 
 // Probe reads the record with the given primary key. Under DORA it takes no
@@ -177,7 +180,7 @@ type boundAction struct {
 	// waitTimer is armed the first time the action parks on a local-lock wait
 	// list; it fails the flow with ErrLockWaitTimeout if the action is still
 	// waiting when it fires (the cross-executor deadlock backstop). The field
-	// is only touched by the owning executor goroutine.
+	// is only touched by the dataset's owner.
 	waitTimer *time.Timer
 }
 

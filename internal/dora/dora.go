@@ -265,6 +265,10 @@ func (s *System) Stop() {
 type Stats struct {
 	// ActionsExecuted is the total number of actions executed.
 	ActionsExecuted uint64
+	// ActionsInline is the number of actions Run callers executed on idle
+	// executors' datasets themselves (Transaction.Run); they count toward
+	// ActionsExecuted but not toward BatchesDrained or MessagesProcessed.
+	ActionsInline uint64
 	// ActionsBlocked is the number of actions that had to wait on a local
 	// lock before executing.
 	ActionsBlocked uint64
@@ -304,6 +308,7 @@ func (s *System) Stats() Stats {
 		for _, ex := range p.cur.Load().executors {
 			st := ex.Stats()
 			out.ActionsExecuted += st.ActionsExecuted
+			out.ActionsInline += st.ActionsInline
 			out.ActionsBlocked += st.ActionsBlocked
 			out.ActionsWoken += st.ActionsWoken
 			out.LocalLockAcquisitions += st.LocalLockAcquisitions

@@ -15,6 +15,11 @@ import (
 type ExecutorStats struct {
 	// ActionsExecuted is the number of actions this executor ran.
 	ActionsExecuted uint64
+	// ActionsInline is the number of actions a Run caller executed on this
+	// executor's dataset itself, without a queue hop (Transaction.Run).
+	// They count toward ActionsExecuted, not toward BatchesDrained or
+	// MessagesProcessed.
+	ActionsInline uint64
 	// ActionsBlocked is the number of actions that found a conflicting local
 	// lock and had to wait (re-parks after a wakeup count again).
 	ActionsBlocked uint64
@@ -62,7 +67,7 @@ type message struct {
 	// txnID identifies the finished transaction for completion messages.
 	txnID uint64
 	// sys runs on the executor goroutine for system actions (dataset
-	// resizing, draining).
+	// resizing, draining), while it owns the dataset.
 	sys func()
 }
 
@@ -87,6 +92,14 @@ func releaseMessage(m *message) {
 // It serially processes the actions routed to it, coordinates conflicting
 // actions through its thread-local lock table, and releases local locks when
 // transaction-completion messages arrive.
+//
+// The unit of exclusion is owning the dataset, not being the executor
+// goroutine: the executor goroutine owns it while it serves a drained batch,
+// and a Run caller may own it to execute a single-target phase itself when
+// the executor is idle (runInline), the flat-combining shortcut that spares
+// the queue hop and the wake-up. One goroutine at a time owns the dataset,
+// and only the owner touches the local lock table, the region gates and the
+// wait timers of parked actions.
 type Executor struct {
 	sys    *System
 	table  string
@@ -102,12 +115,26 @@ type Executor struct {
 	incoming  []*message
 	completed []*message
 	stopped   bool
+	// busy marks the dataset as owned. An executor is born owned by its
+	// goroutine, which gives the dataset up in its first drain, so no caller
+	// can take it before that goroutine runs. The executor goroutine clears
+	// busy in the same latch acquisition as its next drain; a Run caller
+	// clears it in disown. While the dataset is owned, enqueuers skip
+	// cond.Signal: the owner checks the queues again before it lets go.
+	busy bool
+	// drainWait is set while the owning executor goroutine sleeps in the
+	// A.2.1 drain (dequeueForDrain), the one wait that happens while the
+	// dataset is owned, so enqueuers must signal it.
+	drainWait bool
+	// spare is the owner's buffer for the completions a Run caller serves
+	// when it lets go of the dataset (disown).
+	spare []*message
 
 	locks *localLockTable
 
 	// part is the partition this executor serves; its load histogram is fed
-	// with every action the executor drains, which is the signal the
-	// balancer's control loop consumes.
+	// with every action the executor drains or a Run caller executes inline,
+	// which is the signal the balancer's control loop consumes.
 	part *partition
 
 	// gates holds the active region gates of in-flight boundary moves in
@@ -115,18 +142,20 @@ type Executor struct {
 	// region are deferred until the shrinking executor's drain finishes
 	// (A.2.1), while everything else keeps being served — blocking the whole
 	// executor here would deadlock multi-table flows against the drain. Only
-	// the executor goroutine touches the slice.
+	// the dataset's owner touches the slice; a Run caller that owns it only
+	// checks that it is empty before executing inline.
 	gates []*regionGate
 
 	statExecuted atomic.Uint64
+	statInline   atomic.Uint64
 	statBlocked  atomic.Uint64
 	statWoken    atomic.Uint64
 	statLocks    atomic.Uint64
 	statBatches  atomic.Uint64
 	statMsgs     atomic.Uint64
-	statLoad     atomic.Uint64 // actions enqueued; resource-manager load signal
-	statHeld     atomic.Int64  // gauge: locked identifiers (maintained by the executor goroutine)
-	statWaiting  atomic.Int64  // gauge: parked actions (maintained by the executor goroutine)
+	statLoad     atomic.Uint64 // actions routed here; resource-manager load signal
+	statHeld     atomic.Int64  // gauge: locked identifiers (maintained by the dataset's owner)
+	statWaiting  atomic.Int64  // gauge: parked actions (maintained by the dataset's owner)
 }
 
 func newExecutor(sys *System, table string, index, global int) *Executor {
@@ -136,6 +165,7 @@ func newExecutor(sys *System, table string, index, global int) *Executor {
 		index:  index,
 		global: global,
 		locks:  newLocalLockTable(),
+		busy:   true, // until run's first drain
 	}
 	e.cond = sync.NewCond(&e.mu)
 	return e
@@ -154,6 +184,7 @@ func (e *Executor) Stats() ExecutorStats {
 	e.mu.Unlock()
 	return ExecutorStats{
 		ActionsExecuted:       e.statExecuted.Load(),
+		ActionsInline:         e.statInline.Load(),
 		ActionsBlocked:        e.statBlocked.Load(),
 		ActionsWoken:          e.statWoken.Load(),
 		LocalLockAcquisitions: e.statLocks.Load(),
@@ -174,8 +205,9 @@ func (e *Executor) QueueDepth() int {
 	return len(e.incoming)
 }
 
-// load returns and resets the executor's load counter (actions enqueued since
-// the last call); the resource manager polls it.
+// loadSince returns and resets the executor's load counter (actions routed
+// to it since the last call, queued or run inline); the resource manager
+// polls it.
 func (e *Executor) loadSince() uint64 {
 	return e.statLoad.Swap(0)
 }
@@ -186,8 +218,18 @@ func (e *Executor) lockQueue() { e.mu.Lock() }
 
 // unlockQueue releases the queue latch and wakes the executor.
 func (e *Executor) unlockQueue() {
-	e.cond.Signal()
+	e.wakeLocked()
 	e.mu.Unlock()
+}
+
+// wakeLocked wakes the executor goroutine for newly queued messages, unless
+// the dataset is owned: its owner checks the queues again before it lets go
+// (drain, disown). The exception is the owner asleep in the A.2.1 drain. The
+// caller holds the queue latch.
+func (e *Executor) wakeLocked() {
+	if !e.busy || e.drainWait {
+		e.cond.Signal()
+	}
 }
 
 // enqueueActionLocked appends an action; the caller holds the queue latch.
@@ -202,7 +244,7 @@ func (e *Executor) enqueueActionLocked(a *boundAction) {
 func (e *Executor) enqueueAction(a *boundAction) {
 	e.mu.Lock()
 	e.enqueueActionLocked(a)
-	e.cond.Signal()
+	e.wakeLocked()
 	e.mu.Unlock()
 }
 
@@ -212,7 +254,7 @@ func (e *Executor) enqueueCompletion(txnID uint64) {
 	m.txnID = txnID
 	e.mu.Lock()
 	e.completed = append(e.completed, m)
-	e.cond.Signal()
+	e.wakeLocked()
 	e.mu.Unlock()
 }
 
@@ -232,7 +274,7 @@ func (e *Executor) enqueueSystemKind(kind messageKind, fn func()) {
 	m.sys = fn
 	e.mu.Lock()
 	e.incoming = append(e.incoming, m)
-	e.cond.Signal()
+	e.wakeLocked()
 	e.mu.Unlock()
 }
 
@@ -243,19 +285,23 @@ func (e *Executor) stop() {
 		e.stopped = true
 		e.incoming = append(e.incoming, newMessage(msgStop))
 	}
-	e.cond.Signal()
+	e.wakeLocked()
 	e.mu.Unlock()
 }
 
-// drain blocks until messages are available, then takes every pending message
-// in one latch acquisition by swapping the queue slices with the (recycled)
-// buffers from the previous batch. Completions are returned separately so the
-// caller can serve them first.
+// drain gives up the dataset the executor goroutine owned for its previous
+// batch, blocks until messages are available and no Run caller owns the
+// dataset, then takes ownership and every pending message in one latch
+// acquisition by swapping the queue slices with the (recycled) buffers from
+// the previous batch. Completions are returned separately so the caller can
+// serve them first.
 func (e *Executor) drain(compBuf, inBuf []*message) (comp, inc []*message) {
 	e.mu.Lock()
-	for len(e.completed) == 0 && len(e.incoming) == 0 {
+	e.busy = false
+	for e.busy || len(e.completed) == 0 && len(e.incoming) == 0 {
 		e.cond.Wait()
 	}
+	e.busy = true
 	comp, e.completed = e.completed, compBuf[:0]
 	inc, e.incoming = e.incoming, inBuf[:0]
 	e.mu.Unlock()
@@ -313,10 +359,82 @@ func (e *Executor) run() {
 	}
 }
 
+// runInline executes a, the only action of its phase, on the calling
+// goroutine when the executor is idle: not owned, not stopped, and with both
+// queues empty, so nothing queued is overtaken. Otherwise, or when a region
+// gate is armed or the routing key moved to another executor since the
+// phase was routed, it enqueues a as submitPhase would. The action takes the
+// executor's own path (handleAction); a flow that hands off here, by
+// enqueueing or by parking on a local lock, leaves inline mode while the
+// caller still owns the dataset.
+func (e *Executor) runInline(a *boundAction) {
+	flow := a.flow
+	e.mu.Lock()
+	if e.busy || e.stopped || len(e.incoming) > 0 || len(e.completed) > 0 {
+		flow.inline = false
+		e.enqueueActionLocked(a)
+		e.wakeLocked()
+		e.mu.Unlock()
+		return
+	}
+	e.busy = true
+	e.mu.Unlock()
+	if len(e.gates) > 0 || !e.routes(a) {
+		flow.inline = false
+		e.enqueueAction(a)
+		e.disown()
+		return
+	}
+	e.statInline.Add(1)
+	e.statLoad.Add(1)
+	if h := e.part.hist; h != nil {
+		h.observe(a.lockKey())
+	}
+	e.handleAction(a)
+	e.disown()
+}
+
+// routes reports whether the current partition table still routes the
+// action to this executor.
+func (e *Executor) routes(a *boundAction) bool {
+	if a.action.Broadcast {
+		return true
+	}
+	owner, err := e.sys.executorFor(a.action.Table, a.lockKey())
+	return err == nil && owner == e
+}
+
+// disown ends a Run caller's ownership of the dataset. The caller first
+// serves the completions queued meanwhile (its own early-lock-release
+// message among them), then publishes the lock gauges and wakes the
+// executor goroutine only if actions are waiting for it.
+func (e *Executor) disown() {
+	e.mu.Lock()
+	for len(e.completed) > 0 {
+		comp := e.completed
+		e.completed = e.spare[:0]
+		e.mu.Unlock()
+		for i, m := range comp {
+			e.handleCompletion(m.txnID)
+			releaseMessage(m)
+			comp[i] = nil
+		}
+		e.spare = comp
+		e.mu.Lock()
+	}
+	e.storeLockGauges()
+	e.busy = false
+	if len(e.incoming) > 0 {
+		e.cond.Signal()
+	}
+	e.mu.Unlock()
+}
+
 // storeLockGauges publishes the local lock table's census to Stats. The run
-// loop calls it after each batch, and releaseTxn as soon as a release wakes
-// waiters: a woken action can commit and acknowledge its client inline,
-// before the batch ends, and the client must not read a stale gauge.
+// loop calls it after each batch, disown before it lets go, and releaseTxn as
+// soon as a release wakes waiters: a woken action can commit and acknowledge
+// its client inline, before the batch ends, and the client must not read a
+// stale gauge.
 func (e *Executor) storeLockGauges() {
 	e.statHeld.Store(int64(e.locks.size()))
 	e.statWaiting.Store(int64(e.locks.waiterCount()))
@@ -333,8 +451,8 @@ type regionGate struct {
 }
 
 // gateRegion arms a region gate. It runs on the executor goroutine (as a
-// system action) and returns immediately — the executor keeps serving
-// everything outside the gated region.
+// system action, owning the dataset) and returns immediately — the executor
+// keeps serving everything outside the gated region.
 func (e *Executor) gateRegion(lo, hi storage.Key, shrink *Executor, drained <-chan struct{}) {
 	e.gates = append(e.gates, &regionGate{lo: lo, hi: hi, shrink: shrink, drained: drained})
 }
@@ -420,7 +538,7 @@ func (e *Executor) gateDefer(m *message) bool {
 // flow can be deferred here moments before it acquires the very locks the
 // drain waits for, a cycle no lock table can see. The backstop aborts the
 // flow after the lock-wait timeout, exactly like a parked lock wait. It runs
-// on the executor goroutine (waitTimer discipline).
+// on the dataset's owner (waitTimer discipline).
 func (e *Executor) armWaitBackstop(a *boundAction) {
 	if a.waitTimer != nil {
 		return
@@ -467,7 +585,9 @@ func (e *Executor) releaseTxn(txnID uint64) {
 
 // handleAction processes one routed action: probe the local lock table,
 // execute if granted, otherwise the action stays parked on the blocking
-// lock's wait list (steps 2-3 of the walkthrough).
+// lock's wait list (steps 2-3 of the walkthrough). The dataset's owner calls
+// it: the executor goroutine for a queued action, or a Run caller for the
+// action it executes inline (runInline), which skips step 2's queue.
 func (e *Executor) handleAction(a *boundAction) {
 	if e.tryExecute(a) {
 		releaseBoundAction(a)
@@ -496,6 +616,11 @@ func (e *Executor) tryExecute(a *boundAction) bool {
 	e.doraClockStop(start)
 	if !granted {
 		e.statBlocked.Add(1)
+		// A parked action is woken by whoever owns the dataset next, so an
+		// inline flow hands off here (see Transaction.inline).
+		if flow.inline {
+			flow.inline = false
+		}
 		// First park arms the deadlock backstop; a woken action that re-parks
 		// elsewhere keeps its original wait budget. The closure captures the
 		// flow, not the pooled action, so a late firing against a recycled

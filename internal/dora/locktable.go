@@ -13,10 +13,11 @@ import "dora/internal/storage"
 // so releasing a transaction's locks returns exactly the actions that may now
 // be runnable — the executor never rescans unrelated blocked work.
 //
-// The table is accessed only by its executor goroutine, so it needs no
-// internal synchronization; that is precisely the "much lighter-weight
-// thread-local locking mechanism" the paper substitutes for the centralized
-// lock manager.
+// The table is accessed only by the dataset's owner (the executor goroutine,
+// or a Run caller executing an action inline; one at a time, see Executor),
+// so it needs no internal synchronization; that is precisely the "much
+// lighter-weight thread-local locking mechanism" the paper substitutes for
+// the centralized lock manager.
 type localLockTable struct {
 	// entries maps the exact identifier to its lock state.
 	entries map[string]*localLock

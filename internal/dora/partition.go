@@ -554,7 +554,8 @@ func (e *Executor) drainUntilQuiescent() {
 
 // dequeueForDrain blocks until any message arrives, serving completions
 // first. It returns nil if the executor is asked to stop and has nothing
-// queued.
+// queued. The executor goroutine owns the dataset while it waits here, so it
+// raises drainWait for enqueuers to signal it anyway.
 func (e *Executor) dequeueForDrain() *message {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -572,6 +573,8 @@ func (e *Executor) dequeueForDrain() *message {
 		if e.stopped {
 			return nil
 		}
+		e.drainWait = true
 		e.cond.Wait()
+		e.drainWait = false
 	}
 }

@@ -2,6 +2,7 @@ package dora
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,6 +69,22 @@ type Transaction struct {
 	start     time.Time
 	started   bool
 	dispatchN int // total actions dispatched, for stats
+
+	// inline marks a flow that its Run caller drives itself: submitPhase
+	// hands a phase with a single routed action to the caller (nextEx,
+	// next) instead of enqueueing it, and the caller executes it on the
+	// executor's dataset if that is idle (Executor.runInline). The flow
+	// leaves inline mode for good when it hands off: it enqueues, parks on a
+	// local lock, forwards, or runs a secondary. Only the caller writes true,
+	// and the handoff clears it before any other goroutine can reach this
+	// flow's submitPhase, so other goroutines only ever read false.
+	inline bool
+	nextEx *Executor
+	next   *boundAction
+	// inlineAck records that CommitAsync acknowledged the transaction inline
+	// on the Run caller while it owned a dataset; Run yields once after it
+	// lets go.
+	inlineAck bool
 
 	// Deadline budget: set before start (WithBudget, or Config.TxnDeadline),
 	// resolved to an absolute deadline at dispatch and immutable after, so
@@ -178,10 +195,26 @@ func (t *Transaction) running() bool { return t.state.Load() == flowRunning }
 func (t *Transaction) txnID() uint64 { return t.txn.ID() }
 
 // Run dispatches the transaction and waits for it to commit or abort. It
-// returns nil on commit and the failure cause on abort.
+// returns nil on commit and the failure cause on abort. While the flow's
+// phases each route a single action, the caller executes them itself on
+// every executor it finds idle, with no queue hop and no wake-up on either
+// side; the first phase that does not qualify, or an executor that is busy,
+// hands the flow to the executors as RunAsync would.
 func (t *Transaction) Run() error {
+	t.inline = true
 	if err := t.start_(); err != nil {
 		return err
+	}
+	for t.next != nil {
+		ex, a := t.nextEx, t.next
+		t.nextEx, t.next = nil, nil
+		ex.runInline(a)
+	}
+	if t.inlineAck {
+		// The one yield an inline ack asks for (engine.CommitAsync), taken
+		// only now that the caller owns no dataset: yielding while owning
+		// one would stall every action queued for it.
+		runtime.Gosched()
 	}
 	t.await()
 	return t.Err()
@@ -192,6 +225,11 @@ func (t *Transaction) Run() error {
 // would pin a timer for the full timeout per transaction, which at high
 // throughput accumulates millions of pending timers.
 func (t *Transaction) await() {
+	select {
+	case <-t.done:
+		return
+	default:
+	}
 	timeout, cause := t.sys.cfg.TxnTimeout, ErrTxnTimeout
 	// A deadline tighter than the system timeout bounds the wait instead, and
 	// firing reports the deadline, not a generic timeout.
@@ -225,7 +263,8 @@ func (t *Transaction) RunAsync() <-chan error {
 
 // start_ validates the flow graph, begins the engine transaction, and submits
 // the first phase. Step 1 of the Appendix A.1 walkthrough: the dispatcher
-// (the thread that received the request) enqueues the first phase's actions.
+// (the thread that received the request) enqueues the first phase's actions,
+// or, under Run, keeps a single-action phase to execute itself.
 func (t *Transaction) start_() error {
 	if t.started {
 		return fmt.Errorf("dora: transaction already started")
@@ -289,7 +328,9 @@ func (t *Transaction) start_() error {
 // transactions with the same flow graph can never deadlock (§4.2.3).
 // Unordered actions are enqueued individually before the ordered group, and
 // secondary actions then execute inline on the calling thread, which is
-// identified by worker (-1 for the dispatcher).
+// identified by worker (-1 for the dispatcher). A flow in inline mode whose
+// phase is a single routed action skips the queue: the action goes to the
+// Run caller (see Transaction.inline).
 func (t *Transaction) submitPhase(idx, worker int) {
 	if !t.running() {
 		return
@@ -361,6 +402,12 @@ func (t *Transaction) submitPhase(idx, worker int) {
 	}
 	t.rvps[idx].remaining.Store(int32(len(targets) + len(free) + len(secondaries)))
 	t.dispatchN += len(targets) + len(free) + len(secondaries)
+	if t.inline && len(targets) == 1 && len(free) == 0 && len(secondaries) == 0 {
+		t.nextEx, t.next = targets[0].ex, targets[0].act
+		t.rvpClockStop(clock)
+		return
+	}
+	t.inline = false
 
 	// Unordered actions go out first, one enqueue each, so their executors
 	// start while the ordered group below is still latching queues.
@@ -436,6 +483,9 @@ func (t *Transaction) forward(a *Action, from *Scope) error {
 	ex, err := t.sys.executorFor(a.Table, a.Key)
 	if err != nil {
 		return err
+	}
+	if t.inline {
+		t.inline = false // the forwarded action may finish the phase elsewhere
 	}
 	t.rvps[phase].remaining.Add(1)
 	t.sys.statForwarded.Add(1)
@@ -515,8 +565,10 @@ func (t *Transaction) registerParticipant(e *Executor) bool {
 // out early, before the flush; the client is released once the commit is
 // durable. A transaction that changed nothing has no commit record to flush:
 // when the log already covers every commit it could have read, the engine
-// acknowledges it on this executor, inside CommitAsync, and the client is
-// released before finalize returns.
+// acknowledges it on this thread, inside CommitAsync, and the client is
+// released before finalize returns; the thread then yields once, or, if it
+// is a Run caller driving its own flow, Run does after it lets go of the
+// dataset.
 func (t *Transaction) finalize() {
 	if !t.state.CompareAndSwap(flowRunning, flowCommitted) {
 		return
@@ -552,7 +604,7 @@ func (t *Transaction) finalize() {
 	// client ack both follow this one's (engine.CommitAsync). The state
 	// already left flowRunning (CAS above), so the broadcast cannot race a
 	// completeAbort — only one of the two paths ever runs.
-	t.eng.CommitAsync(t.txn, func() {
+	inlineAck := t.eng.CommitAsync(t.txn, func() {
 		t.broadcastCompletions()
 		if col := t.sys.collector(); col != nil {
 			col.ObserveLockHold(time.Since(t.start))
@@ -568,6 +620,13 @@ func (t *Transaction) finalize() {
 		t.releaseAdmission()
 		close(t.done)
 	})
+	if inlineAck {
+		if t.inline {
+			t.inlineAck = true
+		} else {
+			runtime.Gosched()
+		}
+	}
 }
 
 // releaseAdmission returns the transaction's admission credit. It is called

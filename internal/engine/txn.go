@@ -198,7 +198,9 @@ func (t *Txn) ensureActive() error {
 // be called from a log completion callback (see wal.Manager).
 func (e *Engine) Commit(t *Txn) error {
 	done := make(chan error, 1)
-	e.CommitAsync(t, nil, func(err error) { done <- err })
+	if e.CommitAsync(t, nil, func(err error) { done <- err }) {
+		runtime.Gosched()
+	}
 	return <-done
 }
 
@@ -217,12 +219,19 @@ func (e *Engine) Commit(t *Txn) error {
 // whose data it could have read, and the commit watermark bounds those: a
 // writer raises it before release, and only release lets others read its
 // data. If the watermark is already durable, the commit finishes inline on
-// the calling goroutine (finishCommit, release, done(nil)), which then yields
-// once, as the flusher does after its completions. Otherwise the completion
-// waits for the watermark on the flusher exactly as a writer's does. On a
-// degraded engine, whose log can make nothing durable, it commits inline,
-// as it did when it logged a COMMIT: it cannot tell whether it read an
-// early-released commit that the device failure lost.
+// the calling goroutine (finishCommit, release, done(nil)). Otherwise the
+// completion waits for the watermark on the flusher exactly as a writer's
+// does. On a degraded engine, whose log can make nothing durable, it commits
+// inline, as it did when it logged a COMMIT: it cannot tell whether it read
+// an early-released commit that the device failure lost.
+//
+// CommitAsync returns true only for an inline ack. Its caller should then
+// yield once, as the flusher does after its completions, as soon as it holds
+// nothing another goroutine needs (Commit yields at once; a DORA Run caller
+// first lets go of the dataset it owns). The ack woke the client, which the
+// scheduler queues behind the caller, and a caller that no longer blocks on
+// the log would keep the flusher waiting too: without the yield, tm1_mix p99
+// rose 55 % on a 2-vCPU host.
 //
 // release is DORA's early lock release. It runs exactly once, on the calling
 // goroutine, on every path. On the flusher path it runs after the completion
@@ -239,14 +248,14 @@ func (e *Engine) Commit(t *Txn) error {
 // Durability is judged by that LSN against the durable watermark, not by the
 // global error latch: a later flush's failure must not un-acknowledge an
 // earlier durable commit.
-func (e *Engine) CommitAsync(t *Txn, release func(), done func(error)) {
+func (e *Engine) CommitAsync(t *Txn, release func(), done func(error)) (inlineAck bool) {
 	if release == nil {
 		release = func() {}
 	}
 	if err := t.ensureActive(); err != nil {
 		release()
 		done(err)
-		return
+		return false
 	}
 	if !t.logged() {
 		upto := wal.LSN(e.commitHigh.Load())
@@ -254,23 +263,18 @@ func (e *Engine) CommitAsync(t *Txn, release func(), done func(error)) {
 			e.finishCommit(t)
 			release()
 			done(nil)
-			// The ack woke the client, which the scheduler queues behind
-			// this goroutine, and a caller that no longer blocks on the log
-			// would keep the flusher waiting too: without this yield,
-			// tm1_mix p99 rose 55 % on a 2-vCPU host.
-			runtime.Gosched()
-			return
+			return true
 		}
 		e.ackWhenDurable(t, upto, done)
 		release()
-		return
+		return false
 	}
 	commitLSN, err := e.appendMarker(t, wal.RecCommit, 0)
 	if err != nil {
 		e.noteLogError(err)
 		release()
 		done(fmt.Errorf("engine: logging commit of txn %d: %w", t.id, err))
-		return
+		return false
 	}
 	// Raise the commit watermark before release lets anyone read our data.
 	for high := e.commitHigh.Load(); uint64(commitLSN) > high; high = e.commitHigh.Load() {
@@ -280,6 +284,7 @@ func (e *Engine) CommitAsync(t *Txn, release func(), done func(error)) {
 	}
 	e.ackWhenDurable(t, commitLSN, done)
 	release()
+	return false
 }
 
 // ackWhenDurable registers t's completion with the log's flusher: once the
